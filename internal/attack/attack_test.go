@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"roadtrojan/internal/eot"
+	"roadtrojan/internal/obs"
 	"roadtrojan/internal/physical"
 	"roadtrojan/internal/scene"
 	"roadtrojan/internal/shapes"
@@ -306,6 +307,37 @@ func TestTrainSmoke(t *testing.T) {
 	// Outside the silhouette the layer is white.
 	if mg.At(0, 0, 0) != 1 {
 		t.Fatalf("corner = %v, want 1 (transparent)", mg.At(0, 0, 0))
+	}
+}
+
+// TestTrainLeavesVictimUntouched: every trainer freezes the detector for
+// the run and restores it on return — no gradient is accumulated into it
+// and no parameter is left frozen.
+func TestTrainLeavesVictimUntouched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("attack training test skipped in -short mode")
+	}
+	sc := testScene()
+	det := yolo.New(rand.New(rand.NewSource(5)), yolo.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Iters = 2
+	cfg.N = 2
+	for name, train := range map[string]func(*yolo.Model, scene.Camera, Scene, Config, *obs.Trace) (*Patch, *TrainStats, error){
+		"ours": Train, "direct": TrainDirect, "baseline": TrainBaseline,
+	} {
+		if _, _, err := train(det, scene.DefaultCamera(), sc, cfg, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, p := range det.Params() {
+			if p.Frozen {
+				t.Fatalf("%s: %s left frozen", name, p.Name)
+			}
+			for _, g := range p.Grad.Data() {
+				if g != 0 {
+					t.Fatalf("%s: %s gradient %v, want 0", name, p.Name, g)
+				}
+			}
+		}
 	}
 }
 

@@ -176,8 +176,7 @@ func forwardFrames(det *yolo.Model, g *scene.Ground, decaled *tensor.Tensor, win
 	}
 	prob /= float64(w)
 
-	dBatch := det.Backward(dHeads)
-	nn.ZeroGrads(det.Params()) // the detector is frozen (white-box victim)
+	dBatch := det.Backward(dHeads) // input gradient only: the trainers freeze det
 
 	var dTex *tensor.Tensor
 	for i := range graphs {
@@ -273,6 +272,7 @@ func Train(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trac
 	if len(pools.static) == 0 {
 		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
 	}
+	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
 	root := tr.Span("train", obs.S("method", "ours"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
 
 	g := gan.NewGenerator(rng)
@@ -377,8 +377,9 @@ func Train(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trac
 		dLayer := gcomp.backward(dTex)
 		dRaw := printBwd(maskBwd(dLayer)).Scale(cfg.Alpha)
 
+		restoreD := nn.Freeze(d.Params()) // adversarial grad must not move D
 		lossG, dFake := gan.GeneratorAdversarialGrad(d, patch4)
-		nn.ZeroGrads(d.Params()) // adversarial grad must not move D
+		restoreD()
 		dPatch := dFake.Reshape(1, r, r).Clone().AddInPlace(dRaw)
 		tensor.AssertFinite("patch gradient", dPatch)
 
@@ -431,6 +432,7 @@ func TrainDirect(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *ob
 	if len(pools.static) == 0 {
 		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
 	}
+	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
 	root := tr.Span("train", obs.S("method", "direct"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
 	defer root.End()
 	r := gan.PatchRes
@@ -533,6 +535,7 @@ func TrainBaseline(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *
 	if len(pools.static) == 0 {
 		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
 	}
+	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
 	root := tr.Span("train", obs.S("method", "baseline"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
 	defer root.End()
 	r := gan.PatchRes

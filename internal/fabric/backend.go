@@ -356,7 +356,10 @@ func (b *backend) roundTrip(ctx context.Context, req serve.EvalRequest, trace st
 	}
 	var ms int64
 	if dl, ok := ctx.Deadline(); ok {
-		ms = time.Until(dl).Milliseconds()
+		// Round up: a truncated budget would let the node's deadline
+		// fall up to a millisecond before the caller's, so the node could
+		// answer "expired" to a caller whose own deadline had not passed.
+		ms = (time.Until(dl) + time.Millisecond - 1).Milliseconds()
 		if ms < 1 {
 			ms = 1 // expired budgets still travel: the node rejects instantly
 		}

@@ -82,8 +82,9 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 
 	// Heal: the parked connection dies, the backend redials clean, and the
 	// primary serves its own key again (cache-missing, so it executes).
+	parked := backendConn(g, primary)
 	in.Heal(primary)
-	waitRoutable(t, g, primary)
+	waitRedialed(t, g, primary, parked)
 	if _, err := g.dispatch(context.Background(), req); err != nil {
 		t.Fatalf("dispatch after heal: %v", err)
 	}
@@ -93,6 +94,30 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 	if n := execs(secondary); n != 1 {
 		t.Errorf("secondary executed %d jobs after heal, want still 1 (no duplicate)", n)
 	}
+}
+
+// backendConn returns the connection addr's backend currently routes over.
+func backendConn(g *Gateway, addr string) net.Conn {
+	b := g.backend(addr)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.conn
+}
+
+// waitRedialed waits until addr's backend is routable over a connection
+// other than old. The connection parked in a partition still counts as up
+// until its reader sees the heal; routing before the redial lands on that
+// dead connection and fails over, so "routable" alone is not "recovered".
+func waitRedialed(t *testing.T, g *Gateway, addr string, old net.Conn) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if c := backendConn(g, addr); c != nil && c != old && g.backend(addr).available(g.clock.Now()) {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("backend %s never redialed after heal", addr)
 }
 
 // TestChaosCorruptFrameTripsBadFrameAndBreaker corrupts the Hello frame's

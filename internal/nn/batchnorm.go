@@ -125,20 +125,24 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient. In training mode the
 // mean/variance dependence on the batch is accounted for; in inference mode
-// the running statistics are constants.
+// the running statistics are constants. The per-channel sums Σd and Σd·x̂
+// feed the γ/β gradients and the training-mode input gradient; with γ and β
+// frozen in inference mode nothing needs them and the pass is skipped,
+// leaving dIn = γ·invSD·d.
 func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	mustForwarded(b.lastInput, "BatchNorm2D")
 	n, c, h, w := dOut.Dim(0), dOut.Dim(1), dOut.Dim(2), dOut.Dim(3)
 	plane := h * w
 	cnt := float64(n * plane)
 	dIn := tensor.New(n, c, h, w)
+	needSums := b.training || !b.Gamma.Frozen || !b.Beta.Frozen
 
 	for ch := 0; ch < c; ch++ {
 		g := b.Gamma.Value.Data()[ch]
 		invSD := b.lastInvSD[ch]
 		mean := b.lastMean[ch]
 		var sumD, sumDXhat float64
-		for s := 0; s < n; s++ {
+		for s := 0; needSums && s < n; s++ {
 			base := (s*c + ch) * plane
 			ds := dOut.Data()[base : base+plane]
 			if b.lastXHat != nil {
@@ -157,8 +161,12 @@ func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-		b.Beta.Grad.Data()[ch] += sumD
-		b.Gamma.Grad.Data()[ch] += sumDXhat
+		if !b.Beta.Frozen {
+			b.Beta.Grad.Data()[ch] += sumD
+		}
+		if !b.Gamma.Frozen {
+			b.Gamma.Grad.Data()[ch] += sumDXhat
+		}
 
 		if b.training {
 			for s := 0; s < n; s++ {

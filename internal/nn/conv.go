@@ -44,14 +44,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv2D(x, c.Weight.Value, b, c.Stride, c.Pad)
 }
 
-// Backward accumulates weight/bias gradients and returns dInput.
+// Backward accumulates weight/bias gradients and returns dInput. A frozen
+// parameter passes a nil gradient to the kernel, which then skips its work;
+// with both frozen only dInput is computed.
 func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	mustForwarded(c.lastInput, "Conv2D")
-	var dB *tensor.Tensor
-	if c.Bias != nil {
+	var dW, dB *tensor.Tensor
+	if !c.Weight.Frozen {
+		dW = c.Weight.Grad
+	}
+	if c.Bias != nil && !c.Bias.Frozen {
 		dB = c.Bias.Grad
 	}
-	return tensor.Conv2DBackward(c.lastInput, c.Weight.Value, dOut, c.Stride, c.Pad, c.Weight.Grad, dB)
+	return tensor.Conv2DBackward(c.lastInput, c.Weight.Value, dOut, c.Stride, c.Pad, dW, dB)
 }
 
 // Params returns the layer's parameters.
@@ -116,16 +121,21 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW = xᵀ dOut, dB = Σ dOut and returns dOut @ Wᵀ.
-// The two transposes go through arena scratch instead of fresh tensors, so
-// repeated backward passes stop allocating once the buffers reach size.
+// Backward accumulates dW = xᵀ dOut, dB = Σ dOut (each skipped when that
+// parameter is frozen) and returns dOut @ Wᵀ. The two transposes go through
+// arena scratch instead of fresh tensors, so repeated backward passes stop
+// allocating once the buffers reach size.
 func (l *Linear) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	mustForwarded(l.lastInput, "Linear")
 	ss := tensor.AcquireScratch(1)
 	sc := ss[0]
-	xT := tensor.Transpose2DInto(sc.Buf(tensor.ScratchA, l.lastInput.Len()), l.lastInput)
-	tensor.MatMulAccum(l.Weight.Grad, xT, dOut)
-	l.Bias.Grad.AddInPlace(tensor.SumAxis0(dOut))
+	if !l.Weight.Frozen {
+		xT := tensor.Transpose2DInto(sc.Buf(tensor.ScratchA, l.lastInput.Len()), l.lastInput)
+		tensor.MatMulAccum(l.Weight.Grad, xT, dOut)
+	}
+	if !l.Bias.Frozen {
+		l.Bias.Grad.AddInPlace(tensor.SumAxis0(dOut))
+	}
 	wT := tensor.Transpose2DInto(sc.Buf(tensor.ScratchB, l.Weight.Value.Len()), l.Weight.Value)
 	out := tensor.MatMul(dOut, wT)
 	tensor.ReleaseScratch(ss)

@@ -32,7 +32,9 @@ import (
 //
 // The fused pass does not populate Backward caches: Backward after a fused
 // Forward panics. The attack trainer's eval-mode Forward→Backward loop keeps
-// fusing off (the default) and is unaffected.
+// fusing off (the default) and freezes the block's parameters (nn.Freeze),
+// so its Backward computes only the input gradient: no im2col or weight
+// kernel in the convolution and no γ/β sum pass in the batch norm.
 type ConvBNLeaky struct {
 	Conv *Conv2D
 	BN   *BatchNorm2D

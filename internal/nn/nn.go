@@ -26,6 +26,10 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+	// Frozen marks a parameter whose gradient nobody wants: Backward still
+	// returns the input gradient but skips this parameter's gradient work
+	// and leaves Grad untouched. Set it with Freeze.
+	Frozen bool
 }
 
 // NewParam allocates a parameter (and matching zero gradient) around v.
@@ -36,7 +40,24 @@ func NewParam(name string, v *tensor.Tensor) *Param {
 // Clone returns a deep copy of the parameter: value and gradient are fresh
 // tensors sharing no storage with p.
 func (p *Param) Clone() *Param {
-	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: p.Grad.Clone()}
+	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: p.Grad.Clone(), Frozen: p.Frozen}
+}
+
+// Freeze marks every parameter in ps frozen and returns a function that
+// restores each one's previous marker. A network whose parameters are all
+// frozen backpropagates to its input only — the attack trainers freeze the
+// victim detector this way for the length of a run.
+func Freeze(ps []*Param) (restore func()) {
+	prev := make([]bool, len(ps))
+	for i, p := range ps {
+		prev[i] = p.Frozen
+		p.Frozen = true
+	}
+	return func() {
+		for i, p := range ps {
+			p.Frozen = prev[i]
+		}
+	}
 }
 
 // Module is a differentiable computation stage. Modules are not safe for
@@ -47,7 +68,7 @@ type Module interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the output of the most recent
 	// Forward and returns the gradient w.r.t. that Forward's input,
-	// accumulating parameter gradients along the way.
+	// accumulating the gradients of its parameters that are not Frozen.
 	Backward(dOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the module's learnable parameters (possibly empty).
 	Params() []*Param

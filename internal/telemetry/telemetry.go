@@ -456,15 +456,29 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 // WriteText renders every registered family in the Prometheus text
 // exposition format.
 func (r *Registry) WriteText(w io.Writer) error {
+	// Registration appends to a family's series and fills series handles
+	// concurrently with scrapes, so both are copied under the lock; the
+	// writes (and gauge functions) then run without it.
+	type familyCopy struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
+	fams := make([]familyCopy, len(r.families))
+	for i, f := range r.families {
+		fams[i] = familyCopy{f: f, series: make([]series, len(f.series))}
+		for j, s := range f.series {
+			fams[i].series[j] = *s
+		}
+	}
 	r.mu.Unlock()
-	for _, f := range fams {
+	for _, fc := range fams {
+		f := fc.f
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
-		for _, s := range f.series {
-			if err := writeSeries(w, f, s); err != nil {
+		for i := range fc.series {
+			if err := writeSeries(w, f, &fc.series[i]); err != nil {
 				return err
 			}
 		}

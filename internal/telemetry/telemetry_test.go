@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +192,49 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if n := r.Histogram("h", "h", nil, nil).Snapshot().Count; n != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", n)
+	}
+}
+
+// TestScrapeWhileRegistering: a /metrics scrape racing the first
+// registration of new label sets (a fabric backend attaching, say) must be
+// race-free under -race and must never render a half-registered series.
+func TestScrapeWhileRegistering(t *testing.T) {
+	r := NewRegistry()
+	const n = 300
+	done := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				scraped <- nil
+				return
+			default:
+			}
+			if err := r.WriteText(io.Discard); err != nil {
+				scraped <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		node := Labels{"node": strconv.Itoa(i)}
+		r.Counter("race_jobs_total", "jobs", node).Inc()
+		r.Histogram("race_latency_seconds", "latency", node, nil).Observe(0.01)
+		if err := r.SetGaugeFunc("race_up", "up", node, func() float64 { return 1 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), "race_jobs_total{"); got != n {
+		t.Fatalf("final scrape has %d job series, want %d", got, n)
 	}
 }
 

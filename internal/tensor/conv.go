@@ -119,13 +119,41 @@ func Col2Im(cols []float64, c, h, w, kh, kw, stride, pad int, img []float64) {
 
 // Conv2D computes a batched 2-D cross-correlation. Input is [N,C,H,W],
 // weight is [OC,C,KH,KW], bias (optional, may be nil) is [OC]. The result is
-// [N,OC,OH,OW]. Samples are processed in parallel; im2col scratch comes
-// from the per-worker arena, so steady-state calls allocate only the output
-// tensor.
+// [N,OC,OH,OW]. See convForward for how the work is spread across cores;
+// im2col scratch comes from the arena, so steady-state calls allocate only
+// the output tensor.
 func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	if refKernels {
 		return conv2DRef(input, weight, bias, stride, pad)
 	}
+	if bias == nil {
+		return convForward(input, weight, stride, pad, nil)
+	}
+	bd := bias.data
+	return convForward(input, weight, stride, pad, func(res []float64, lo, hi, m int) {
+		for o := lo; o < hi; o++ {
+			b := bd[o]
+			seg := res[o*m : (o+1)*m]
+			for i := range seg {
+				seg[i] += b
+			}
+		}
+	})
+}
+
+// convEpilogue finishes output rows [lo,hi) of one sample's [OC, OH·OW]
+// result segment in place while they are still cache-hot.
+type convEpilogue func(res []float64, lo, hi, m int)
+
+// convForward is the one convolution skeleton behind Conv2D and the fused
+// kernels: im2col, then the blocked matmul W[OC,K] @ cols[K,OH·OW] and the
+// optional epilogue on each output row. When the batch fills the cores
+// evenly every sample is one task. Otherwise each sample's output rows
+// (output channels) are cut into splitBlocks blocks, after a first pass that
+// lowers every sample's im2col with the work cut by input channel. Every
+// output element is still summed by one task in ascending k order, so the
+// result is bit-identical at any core count.
+func convForward(input, weight *Tensor, stride, pad int, epilogue convEpilogue) *Tensor {
 	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oc, kc, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
 	if kc != c {
@@ -140,43 +168,100 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	k := c * kh * kw
 	m := oh * ow
 	wdata := weight.data // already [oc, k] row-major
-
-	workers := Workers(n)
-	ss := AcquireScratch(workers)
-	parallelForSlot(n, workers, func(slot, s int) {
-		sc := ss[slot]
-		cols := sc.Buf(ScratchCols, k*m)
-		Im2Col(input.data[s*c*h*w:(s+1)*c*h*w], c, h, w, kh, kw, stride, pad, cols)
+	finish := func(s int, cols []float64, lo, hi int) {
 		res := out.data[s*oc*m : (s+1)*oc*m]
-		matMulRowsBlocked(res, wdata, cols, 0, oc, k, m, false)
-		if bias != nil {
-			for o := 0; o < oc; o++ {
-				b := bias.data[o]
-				seg := res[o*m : (o+1)*m]
-				for i := range seg {
-					seg[i] += b
-				}
-			}
+		matMulRowsBlocked(res, wdata, cols, lo, hi, k, m, false)
+		if epilogue != nil {
+			epilogue(res, lo, hi, m)
 		}
+	}
+
+	blocks := splitBlocks(n, oc, k*m)
+	if blocks == 1 {
+		workers := Workers(n)
+		ss := AcquireScratch(workers)
+		parallelForSlot(n, workers, func(slot, s int) {
+			cols := ss[slot].Buf(ScratchCols, k*m)
+			Im2Col(input.data[s*c*h*w:(s+1)*c*h*w], c, h, w, kh, kw, stride, pad, cols)
+			finish(s, cols, 0, oc)
+		})
+		ReleaseScratch(ss)
+		return out
+	}
+
+	// Split path: one im2col buffer per sample, sized before the dispatch
+	// (Buf may reallocate and must not race).
+	ss := AcquireScratch(n)
+	cols := make([][]float64, n)
+	for s := range cols {
+		cols[s] = ss[s].Buf(ScratchCols, k*m)
+	}
+	groups := min(blocks, c)
+	khw := kh * kw
+	parallelFor(n*groups, func(t int) {
+		s, c0, c1 := splitTask(t, groups, c)
+		Im2Col(input.data[(s*c+c0)*h*w:(s*c+c1)*h*w], c1-c0, h, w, kh, kw, stride, pad,
+			cols[s][c0*khw*m:c1*khw*m])
+	})
+	parallelFor(n*blocks, func(t int) {
+		s, lo, hi := splitTask(t, blocks, oc)
+		finish(s, cols[s], lo, hi)
 	})
 	ReleaseScratch(ss)
 	return out
+}
+
+// splitMinWork is the fewest multiply-adds one block of a split sample may
+// carry; below it the extra dispatch costs more than the idle core saves.
+const splitMinWork = 1 << 15
+
+// splitBlocks returns how many blocks each sample's rows are cut into when
+// n samples run on GOMAXPROCS cores. A batch that fills the cores evenly
+// stays one task per sample (1). Otherwise GOMAXPROCS/gcd(n, GOMAXPROCS)
+// blocks per sample make the task count a multiple of the core count,
+// capped so that every block keeps at least one row and splitMinWork
+// multiply-adds (rowWork per row). The answer depends only on n, the shape
+// and GOMAXPROCS.
+func splitBlocks(n, rows, rowWork int) int {
+	p := runtime.GOMAXPROCS(0)
+	a, b := n, p
+	for b != 0 {
+		a, b = b, a%b
+	}
+	blocks := min(p/a, rows, rows*rowWork/splitMinWork)
+	return max(blocks, 1)
+}
+
+// splitTask maps task t of a split dispatch to its sample and its half-open
+// block [lo,hi) of the sample's rows: blocks per sample, rows cut into
+// near-equal non-empty ranges (blocks ≤ rows).
+func splitTask(t, blocks, rows int) (s, lo, hi int) {
+	s, j := t/blocks, t%blocks
+	return s, j * rows / blocks, (j + 1) * rows / blocks
 }
 
 // Conv2DBackward computes the gradients of Conv2D. Given dOut [N,OC,OH,OW]
 // it returns dInput [N,C,H,W] and accumulates into dWeight [OC,C,KH,KW] and
 // dBias [OC] (either may be nil to skip).
 //
-// The reduction is lock-free and deterministic: samples are assigned to
-// workers in fixed contiguous chunks, each worker sums its samples' dW/dB
-// terms into private arena accumulators in ascending sample order, and the
-// per-worker partials are merged into dWeight/dBias in ascending slot order
-// after the join. For a fixed GOMAXPROCS the floating-point summation tree
-// is therefore identical on every run (and with one worker it matches the
-// sequential pre-optimization kernel bit for bit).
+// dInput is summed per element in one fixed order, so it is bit-identical
+// at any core count. With both gradients nil (a frozen layer) only dInput
+// is computed, by conv2DBackwardInput.
+//
+// The dWeight/dBias reduction is lock-free and deterministic for a fixed
+// GOMAXPROCS: samples are assigned to workers in fixed contiguous chunks,
+// each worker sums its samples' dW/dB terms into private arena accumulators
+// in ascending sample order, and the per-worker partials are merged into
+// dWeight/dBias in ascending slot order after the join. The chunk
+// boundaries follow the worker count, so these sums are the same bits on
+// every run at one GOMAXPROCS but not across GOMAXPROCS values (with one
+// worker they match the sequential pre-optimization kernel bit for bit).
 func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias *Tensor) *Tensor {
 	if refKernels {
 		return conv2DBackwardRef(input, weight, dOut, stride, pad, dWeight, dBias)
+	}
+	if dWeight == nil && dBias == nil {
+		return conv2DBackwardInput(input, weight, dOut, stride, pad)
 	}
 	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oc, _, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
@@ -270,6 +355,43 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 			}
 		}
 	}
+	ReleaseScratch(ss)
+	return dIn
+}
+
+// conv2DBackwardInput is the frozen-layer backward: dInput only, with no
+// im2col and no weight-gradient kernel. Each task computes the dCols rows
+// of one group of input channels (W^T rows in multiples of KH·KW) and
+// scatters them with Col2Im into that disjoint channel range of dInput, so
+// a sample splits across cores exactly like convForward splits its output
+// rows.
+func conv2DBackwardInput(input, weight, dOut *Tensor, stride, pad int) *Tensor {
+	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
+	oc, _, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
+	oh := ConvOut(h, kh, stride, pad)
+	ow := ConvOut(w, kw, stride, pad)
+	dIn := New(n, c, h, w)
+	if n == 0 {
+		return dIn
+	}
+	khw := kh * kw
+	k := c * khw
+	m := oh * ow
+
+	groups := splitBlocks(n, c, khw*oc*m)
+	workers := Workers(n * groups)
+	ss := AcquireScratch(workers)
+	// W^T [k, oc], written once here and read by every worker.
+	wT := ss[0].Buf(ScratchWT, k*oc)
+	transposeInto(wT, weight.data, oc, k)
+	parallelForSlot(n*groups, workers, func(slot, t int) {
+		s, c0, c1 := splitTask(t, groups, c)
+		rows := (c1 - c0) * khw
+		// dCols rows of channels [c0,c1) = W^T rows [c0·khw, c1·khw) @ dOut_s.
+		dCols := ss[slot].Buf(ScratchDCols, rows*m)
+		matMulRowsBlocked(dCols, wT[c0*khw*oc:c1*khw*oc], dOut.data[s*oc*m:(s+1)*oc*m], 0, rows, oc, m, false)
+		Col2Im(dCols, c1-c0, h, w, kh, kw, stride, pad, dIn.data[(s*c+c0)*h*w:(s*c+c1)*h*w])
+	})
 	ReleaseScratch(ss)
 	return dIn
 }

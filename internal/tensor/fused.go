@@ -20,8 +20,9 @@ import (
 //     in (and the shift hoisted into a bias), saving the per-element affine;
 //     it matches the unfused chain only to floating-point reassociation.
 //
-// Both are scratch-arena backed like Conv2D: steady-state calls allocate
-// only the output tensor.
+// Both run on Conv2D's skeleton (convForward), with the affine and the
+// rectifier as its epilogue: they split across cores the same way and
+// steady-state calls allocate only the output tensor.
 
 // Conv2DBNLeaky computes leaky(γ·((conv(x,W)−μ)·invSD)+β) in one pass.
 // Input is [N,C,H,W], weight [OC,C,KH,KW]; gamma, beta, mean and invSD are
@@ -35,8 +36,8 @@ func Conv2DBNLeaky(input, weight *Tensor, gamma, beta, mean, invSD []float64, st
 		panic(fmt.Sprintf("tensor: Conv2DBNLeaky affine length %d/%d/%d/%d, want %d",
 			len(gamma), len(beta), len(mean), len(invSD), oc))
 	}
-	return fusedConv(input, weight, stride, pad, func(res []float64, m int) {
-		for o := 0; o < oc; o++ {
+	return convForward(input, weight, stride, pad, func(res []float64, lo, hi, m int) {
+		for o := lo; o < hi; o++ {
 			g, bt, mn, isd := gamma[o], beta[o], mean[o], invSD[o]
 			seg := res[o*m : (o+1)*m]
 			for i, v := range seg {
@@ -61,8 +62,8 @@ func Conv2DBiasLeaky(input, weight, bias *Tensor, stride, pad int, slope float64
 		panic(fmt.Sprintf("tensor: Conv2DBiasLeaky bias length %d, want %d", bias.Len(), oc))
 	}
 	bd := bias.data
-	return fusedConv(input, weight, stride, pad, func(res []float64, m int) {
-		for o := 0; o < oc; o++ {
+	return convForward(input, weight, stride, pad, func(res []float64, lo, hi, m int) {
+		for o := lo; o < hi; o++ {
 			b := bd[o]
 			seg := res[o*m : (o+1)*m]
 			for i, v := range seg {
@@ -75,40 +76,6 @@ func Conv2DBiasLeaky(input, weight, bias *Tensor, stride, pad int, slope float64
 			}
 		}
 	})
-}
-
-// fusedConv is the shared conv skeleton of the fused kernels: the same
-// arena-backed im2col + blocked matmul as Conv2D, with a caller-supplied
-// epilogue applied to each sample's [OC, OH·OW] result segment while it is
-// still cache-hot.
-func fusedConv(input, weight *Tensor, stride, pad int, epilogue func(res []float64, m int)) *Tensor {
-	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
-	oc, kc, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
-	if kc != c {
-		panic(fmt.Sprintf("tensor: fused conv channel mismatch input %v weight %v", input.shape, weight.shape))
-	}
-	oh := ConvOut(h, kh, stride, pad)
-	ow := ConvOut(w, kw, stride, pad)
-	out := New(n, oc, oh, ow)
-	if n == 0 {
-		return out
-	}
-	k := c * kh * kw
-	m := oh * ow
-	wdata := weight.data
-
-	workers := Workers(n)
-	ss := AcquireScratch(workers)
-	parallelForSlot(n, workers, func(slot, s int) {
-		sc := ss[slot]
-		cols := sc.Buf(ScratchCols, k*m)
-		Im2Col(input.data[s*c*h*w:(s+1)*c*h*w], c, h, w, kh, kw, stride, pad, cols)
-		res := out.data[s*oc*m : (s+1)*oc*m]
-		matMulRowsBlocked(res, wdata, cols, 0, oc, k, m, false)
-		epilogue(res, m)
-	})
-	ReleaseScratch(ss)
-	return out
 }
 
 // FoldBN folds an eval-mode batch-norm into convolution weights: W'[o,…] =

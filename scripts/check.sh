@@ -44,6 +44,13 @@ echo "== golden journal + report"
 go test -count 1 -run 'TestTrainJournal' ./internal/attack
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
+# Core-count gate: the split conv kernels and the frozen backward must give
+# the same bits as the reference kernels whatever the core count, so these
+# run at GOMAXPROCS 1, 2 and 4 regardless of how many cores CI has.
+echo "== split-kernel parity + frozen parameters at -cpu 1,2,4"
+go test -count 1 -cpu 1,2,4 -run 'Split|Parity|Frozen|Freeze' ./internal/tensor ./internal/nn ./internal/yolo
+go test -count 1 -cpu 1,2,4 -run 'TrainLeavesVictimUntouched' ./internal/attack
+
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
 # must complete an evaluate round-trip and drain cleanly, under the race
 # detector. Fast and focused, so fabric wiring regressions fail here with
