@@ -37,15 +37,14 @@ func (p *Patch) MaskedGray() *tensor.Tensor {
 	return out
 }
 
-// TrainStats traces the optimization.
+// TrainStats traces the optimization, one entry per iteration for every
+// method; the GAN losses stay zero for the GAN-free methods.
 type TrainStats struct {
 	AttackLoss []float64
 	GANLossG   []float64
 	GANLossD   []float64
 	TargetProb []float64 // detector's target-class probability at the victim
-	GradNorm   []float64 // L2 of the attack gradient reaching the patch
-
-	lastD float64 // most recent discriminator loss (for the D-step gate)
+	GradNorm   []float64 // L2 of the gradient reaching the patch layer
 }
 
 // trajectoryPools groups training frames: dynamic windows (consecutive
@@ -264,159 +263,7 @@ func printExpectation(p *tensor.Tensor) (*tensor.Tensor, func(d *tensor.Tensor) 
 // the final monochrome patch. tr receives the structured run trace (nil
 // disables tracing; obs.TextTrace restores the historical log lines).
 func Train(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trace) (*Patch, *TrainStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pools := buildPools(cam, sc, rng)
-	if len(pools.static) == 0 {
-		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
-	}
-	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
-	root := tr.Span("train", obs.S("method", "ours"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
-
-	g := gan.NewGenerator(rng)
-	d := gan.NewDiscriminator(rng)
-	optG := optim.NewAdam(g.Params(), cfg.LRG)
-	optD := optim.NewAdam(d.Params(), cfg.LRD)
-	sampler := eot.NewSampler(cfg.Tricks)
-
-	r := gan.PatchRes
-	mask := shapes.Mask(cfg.Shape, r, cfg.ShapeScale(), 0)
-	zStar := gan.SampleZ(rng, 1)              // the z that will be "printed"
-	stats := &TrainStats{lastD: 2 * math.Ln2} // start at the chance-level BCE
-
-	// Random restarts: the targeted flip lives on a narrow manifold, so a
-	// single Adam trajectory may never touch it. Split the budget into
-	// segments with a fresh generator each; the printed artifact is the best
-	// digitally-verified snapshot across segments (the paper's protocol
-	// confirms digital success before deploying).
-	segments := 1
-	if cfg.Iters >= 120 {
-		segments = 3
-	}
-	segLen := cfg.Iters / segments
-	verifyRng := rand.New(rand.NewSource(cfg.Seed + 777))
-	bestPatch := (*Patch)(nil)
-	bestScore := -1.0
-	snapshot := func(it int) {
-		g.SetTraining(false)
-		cand := &Patch{Gray: g.Forward(zStar).Reshape(1, r, r).Clone(), Mask: mask.Clone(), Cfg: cfg}
-		g.SetTraining(true)
-		score := combinedVerify(det, cam, sc, cand, verifyRng)
-		kept := score > bestScore
-		if kept {
-			bestScore, bestPatch = score, cand
-		}
-		root.Verify(obs.VerifyStats{It: it, Score: score, Best: bestScore, Kept: kept})
-	}
-
-	curSeg := 0
-	curLR := cfg.LRG
-	segSpan := root.Child("segment", obs.I("seg", 0))
-	defer func() {
-		segSpan.End()
-		root.End()
-	}()
-
-	const dBatch = 6
-	for it := 0; it < cfg.Iters; it++ {
-		segIt := it % segLen
-		if it > 0 && segIt == 0 && it/segLen < segments {
-			// New segment: fresh generator and optimizer; D persists.
-			g = gan.NewGenerator(rng)
-			optG = optim.NewAdam(g.Params(), cfg.LRG)
-			zStar = gan.SampleZ(rng, 1)
-			curSeg = it / segLen
-			segSpan.End()
-			segSpan = root.Child("segment", obs.I("seg", curSeg))
-		}
-		// Step-decay the generator LR for a stable final patch.
-		switch {
-		case segLen >= 10 && segIt == segLen*17/20:
-			curLR = cfg.LRG * 0.1
-			optG.SetLR(curLR)
-		case segLen >= 10 && segIt == segLen*3/5:
-			curLR = cfg.LRG * 0.3
-			optG.SetLR(curLR)
-		case segIt == 0:
-			curLR = cfg.LRG
-			optG.SetLR(curLR)
-		}
-		// --- discriminator step (real Four Shapes vs generated) ---------
-		// Updating D only every other iteration (and not at all once it
-		// confidently separates) keeps the realism term from saturating the
-		// patch into a solid silhouette, which would zero the attack
-		// gradient through the generator's output sigmoid.
-		lossD := stats.lastD
-		if it%2 == 0 && stats.lastD > 0.1 {
-			real := shapes.Samples(rng, cfg.Shape, r, dBatch)
-			zD := gan.SampleZ(rng, dBatch)
-			fakes := g.Forward(zD) // detached: no G backward from this pass
-			nn.ZeroGrads(d.Params())
-			lossD = gan.TracedDiscriminatorStep(segSpan, it, d, real, fakes)
-			optD.Step()
-			nn.ZeroGrads(d.Params())
-			stats.lastD = lossD
-		}
-
-		// --- generator step: GAN realism + α · attack --------------------
-		window := pools.sampleWindow(rng, cfg.Consecutive, cfg.WindowFrames)
-		patch4 := g.Forward(zStar) // [1,1,R,R]
-		layer := patch4.Reshape(1, r, r)
-		printed, printBwd := printExpectation(layer)
-		masked, maskBwd := imaging.ApplyShapeMask(printed, mask)
-		decaled, gcomp, err := applyGrayDecals(sc.Ground, sc.Ground.Tex, masked, Placements(cfg, sc.TargetGX, sc.TargetGY), cfg.Ink)
-		if err != nil {
-			return nil, nil, err
-		}
-		attackLoss, dTex, prob, err := forwardFrames(det, sc.Ground, decaled, window, sampler, rng, sc, cfg.TargetClass, segSpan, it)
-		if err != nil {
-			return nil, nil, err
-		}
-		dLayer := gcomp.backward(dTex)
-		dRaw := printBwd(maskBwd(dLayer)).Scale(cfg.Alpha)
-
-		restoreD := nn.Freeze(d.Params()) // adversarial grad must not move D
-		lossG, dFake := gan.GeneratorAdversarialGrad(d, patch4)
-		restoreD()
-		dPatch := dFake.Reshape(1, r, r).Clone().AddInPlace(dRaw)
-		tensor.AssertFinite("patch gradient", dPatch)
-
-		nn.ZeroGrads(g.Params())
-		g.Backward(dPatch.Reshape(1, 1, r, r))
-		optim.ClipGradNorm(g.Params(), 5)
-		optG.Step()
-
-		stats.AttackLoss = append(stats.AttackLoss, attackLoss)
-		stats.GANLossD = append(stats.GANLossD, lossD)
-		stats.GANLossG = append(stats.GANLossG, lossG)
-		stats.TargetProb = append(stats.TargetProb, prob)
-		// Snapshot selection: the attacker prints the best patch seen, per
-		// the paper's confirm-digitally-first protocol.
-		if cfg.Iters >= 40 && segIt >= segLen/4 && it%10 == 0 {
-			snapshot(it)
-		}
-		if segSpan.Enabled() {
-			// The ink and gradient summaries only exist for the journal;
-			// compute them under the enabled check so a nil trace stays free.
-			inkMean, inkFrac := inkStats(masked, mask)
-			segSpan.Iter(obs.IterStats{
-				Method: "ours", It: it, Seg: curSeg, Final: it == cfg.Iters-1,
-				Attack: attackLoss, Alpha: cfg.Alpha, Weighted: cfg.Alpha * attackLoss,
-				GanG: lossG, GanD: lossD, Total: lossG + cfg.Alpha*attackLoss,
-				PTarget: prob, GradNorm: dPatch.L2(), LR: curLR,
-				InkMean: inkMean, InkFrac: inkFrac, Best: bestScore,
-			})
-		}
-	}
-	snapshot(cfg.Iters - 1)
-	if bestPatch != nil {
-		return bestPatch, stats, nil
-	}
-	g.SetTraining(false)
-	final := g.Forward(zStar).Reshape(1, r, r).Clone()
-	return &Patch{Gray: final, Mask: mask.Clone(), Cfg: cfg}, stats, nil
+	return train(det, cam, sc, cfg, tr, method{name: "ours", restarts: true, snapEvery: 10}, newGANSource)
 }
 
 // TrainDirect is the GAN-free ablation of our attack: the monochrome,
@@ -424,109 +271,61 @@ func Train(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trac
 // It isolates the attack pipeline from the GAN balance and shows what the
 // α-weighted term alone can achieve.
 func TrainDirect(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trace) (*Patch, *TrainStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pools := buildPools(cam, sc, rng)
-	if len(pools.static) == 0 {
-		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
-	}
-	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
-	root := tr.Span("train", obs.S("method", "direct"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
-	defer root.End()
-	r := gan.PatchRes
-	mask := shapes.Mask(cfg.Shape, r, cfg.ShapeScale(), 0)
-	param := nn.NewParam("direct.patch", tensor.NewRandU(rng, 0.05, 0.45, 1, r, r))
-	const directLR = 0.05
-	opt := optim.NewAdam([]*nn.Param{param}, directLR)
-	sampler := eot.NewSampler(cfg.Tricks)
-	stats := &TrainStats{}
-	verifyRng := rand.New(rand.NewSource(cfg.Seed + 777))
-	bestPatch := (*Patch)(nil)
-	bestScore := -1.0
-	snapshot := func(it int) {
-		cand := &Patch{Gray: param.Value.Clone(), Mask: mask.Clone(), Cfg: cfg}
-		score := combinedVerify(det, cam, sc, cand, verifyRng)
-		kept := score > bestScore
-		if kept {
-			bestScore, bestPatch = score, cand
-		}
-		root.Verify(obs.VerifyStats{It: it, Score: score, Best: bestScore, Kept: kept})
-	}
-
-	for it := 0; it < cfg.Iters; it++ {
-		window := pools.sampleWindow(rng, cfg.Consecutive, cfg.WindowFrames)
-		clamp := imaging.NewClampUnit()
-		layer := clamp.Forward(param.Value)
-		printed, printBwd := printExpectation(layer)
-		masked, maskBwd := imaging.ApplyShapeMask(printed, mask)
-		decaled, gcomp, err := applyGrayDecals(sc.Ground, sc.Ground.Tex, masked, Placements(cfg, sc.TargetGX, sc.TargetGY), cfg.Ink)
-		if err != nil {
-			return nil, nil, err
-		}
-		attackLoss, dTex, prob, err := forwardFrames(det, sc.Ground, decaled, window, sampler, rng, sc, cfg.TargetClass, root, it)
-		if err != nil {
-			return nil, nil, err
-		}
-		dLayer := gcomp.backward(dTex)
-		dRaw := clamp.Backward(printBwd(maskBwd(dLayer)))
-		tensor.AssertFinite("direct patch gradient", dRaw)
-		param.Grad.Zero()
-		param.Grad.AddInPlace(dRaw)
-		opt.Step()
-		param.Value.Clamp(0, 1)
-
-		stats.AttackLoss = append(stats.AttackLoss, attackLoss)
-		stats.TargetProb = append(stats.TargetProb, prob)
-		stats.GradNorm = append(stats.GradNorm, dRaw.L2())
-		if cfg.Iters >= 40 && it >= cfg.Iters/4 && it%20 == 0 {
-			snapshot(it)
-		}
-		if root.Enabled() {
-			inkMean, inkFrac := inkStats(masked, mask)
-			root.Iter(obs.IterStats{
-				Method: "direct", It: it, Seg: 0, Final: it == cfg.Iters-1,
-				Attack: attackLoss, Alpha: 1, Weighted: attackLoss, Total: attackLoss,
-				PTarget: prob, GradNorm: dRaw.L2(), LR: directLR,
-				InkMean: inkMean, InkFrac: inkFrac, Best: bestScore,
-			})
-		}
-	}
-	snapshot(cfg.Iters - 1)
-	if bestPatch != nil {
-		return bestPatch, stats, nil
-	}
-	return &Patch{Gray: param.Value.Clone(), Mask: mask.Clone(), Cfg: cfg}, stats, nil
-}
-
-// stripeInit seeds direct optimization with a horizontal-stripe pattern
-// plus noise. Low values paint ink (the composite's transparency
-// convention), so alternating bands reproduce the periodic paint/no-paint
-// structure of road lettering — a warm start inside the target class's
-// feature manifold rather than a random one far from it.
-func stripeInit(rng *rand.Rand, r int) *tensor.Tensor {
-	t := tensor.New(1, r, r)
-	period := r / 5
-	if period < 2 {
-		period = 2
-	}
-	for y := 0; y < r; y++ {
-		base := 0.85
-		if (y/period)%2 == 0 {
-			base = 0.12 // inked band
-		}
-		for x := 0; x < r; x++ {
-			t.Set(base+rng.Float64()*0.1, 0, y, x)
-		}
-	}
-	return t
+	return train(det, cam, sc, cfg, tr, method{name: "direct", snapEvery: 20}, newDirectSource)
 }
 
 // TrainBaseline implements [34] (Sava et al.) as the paper describes it:
 // a colored patch optimized directly with Adam under a rich EOT set, on
 // static frames (single-frame attack), with no GAN shape constraint.
 func TrainBaseline(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trace) (*Patch, *TrainStats, error) {
+	// "they utilized many EOT techniques", on static single frames.
+	return train(det, cam, sc, cfg, tr, method{name: "baseline", snapEvery: 20, static: true, allTricks: true}, newColoredSource)
+}
+
+// method holds the fixed choices that tell the attack methods apart in the
+// shared loop; everything else about a method lives in its patchSource.
+type method struct {
+	name      string // the journal's "method" attribute
+	restarts  bool   // split long runs into restart segments, each its own span
+	snapEvery int    // iterations between verified snapshots
+	static    bool   // i.i.d. stationary frames whatever cfg.Consecutive says
+	allTricks bool   // every EOT trick whatever cfg.Tricks says
+}
+
+// A patchSource is one parameterisation of the decal: the GAN generator of
+// Eq. 1, the GAN-free gray layer, or the colored baseline of [34]. It owns
+// its parameters and optimiser; train owns the loop around it.
+type patchSource interface {
+	// restart begins a new restart segment (methods with restarts only).
+	restart(rng *rand.Rand)
+	// preWindow runs before the iteration's frames are drawn, on the span
+	// that receives the iteration's records.
+	preWindow(sp *obs.Span, it, segIt, segLen int, rng *rand.Rand)
+	// decal composites the current patch onto the ground texture. step
+	// takes the texture's attack gradient back to the parameters and
+	// updates them.
+	decal(sc Scene) (decaled *tensor.Tensor, step func(dTex *tensor.Tensor) stepReport, err error)
+	// candidate is the patch as it would be printed now.
+	candidate() *Patch
+}
+
+// stepReport is what one update tells the loop for TrainStats and the
+// journal's iter record.
+type stepReport struct {
+	ganG, ganD float64        // realism losses (zero without a GAN)
+	alpha, lr  float64        // weight on the attack term; learning rate used
+	grad       *tensor.Tensor // gradient that reached the patch layer
+	ink, mask  *tensor.Tensor // print-ready layer for inkStats (nil mask: all of it)
+}
+
+// train is the attack loop every method shares. Each iteration draws a
+// window of frames, renders the source's decal through EOT, the print
+// channel and compositing, takes the frozen detector's attack gradient and
+// hands it back to the source. The returned patch is the best
+// digitally-verified snapshot, per the paper's confirm-digitally-first
+// protocol.
+func train(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *obs.Trace,
+	m method, newSource func(Config, *rand.Rand) patchSource) (*Patch, *TrainStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -536,65 +335,276 @@ func TrainBaseline(det *yolo.Model, cam scene.Camera, sc Scene, cfg Config, tr *
 		return nil, nil, fmt.Errorf("attack: target never visible from training cameras")
 	}
 	defer nn.Freeze(det.Params())() // white-box victim: image gradient only
-	root := tr.Span("train", obs.S("method", "baseline"), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
+	src := newSource(cfg, rng)
+	root := tr.Span("train", obs.S("method", m.name), obs.I("iters", cfg.Iters), obs.I64("seed", cfg.Seed))
 	defer root.End()
-	r := gan.PatchRes
-	param := nn.NewParam("baseline.patch", tensor.NewRandU(rng, 0.25, 0.75, 3, r, r))
-	const baselineLR = 0.03
-	opt := optim.NewAdam([]*nn.Param{param}, baselineLR)
-	sampler := eot.NewSampler(eot.AllTricks()) // "they utilized many EOT techniques"
+	tricks := cfg.Tricks
+	if m.allTricks {
+		tricks = eot.AllTricks()
+	}
+	sampler := eot.NewSampler(tricks)
 	stats := &TrainStats{}
+
 	verifyRng := rand.New(rand.NewSource(cfg.Seed + 777))
-	bestPatch := (*Patch)(nil)
+	var best *Patch
 	bestScore := -1.0
 	snapshot := func(it int) {
-		cand := &Patch{RGB: param.Value.Clone(), Cfg: cfg}
+		cand := src.candidate()
 		score := combinedVerify(det, cam, sc, cand, verifyRng)
 		kept := score > bestScore
 		if kept {
-			bestScore, bestPatch = score, cand
+			bestScore, best = score, cand
 		}
 		root.Verify(obs.VerifyStats{It: it, Score: score, Best: bestScore, Kept: kept})
 	}
 
-	for it := 0; it < cfg.Iters; it++ {
-		window := pools.sampleWindow(rng, false /* static single frames */, cfg.WindowFrames)
-		clamp := imaging.NewClampUnit()
-		layerRaw := clamp.Forward(param.Value)
-		layer, printBwd := printExpectation(layerRaw)
-		decaled, rcomp, err := applyRGBDecals(sc.Ground, sc.Ground.Tex, layer, Placements(cfg, sc.TargetGX, sc.TargetGY))
-		if err != nil {
-			return nil, nil, err
-		}
-		attackLoss, dTex, prob, err := forwardFrames(det, sc.Ground, decaled, window, sampler, rng, sc, cfg.TargetClass, root, it)
-		if err != nil {
-			return nil, nil, err
-		}
-		dLayer := rcomp.backward(dTex)
-		param.Grad.Zero()
-		param.Grad.AddInPlace(clamp.Backward(printBwd(dLayer)))
-		tensor.AssertFinite("baseline patch gradient", param.Grad)
-		opt.Step()
-		param.Value.Clamp(0, 1)
+	// Random restarts: the targeted flip lives on a narrow manifold, so a
+	// single trajectory may never touch it. Split the budget into segments
+	// with a fresh start each; snapshots are kept across segments.
+	segments := 1
+	if m.restarts && cfg.Iters >= 120 {
+		segments = 3
+	}
+	segLen := cfg.Iters / segments
+	seg, sp := 0, root
+	if m.restarts {
+		sp = root.Child("segment", obs.I("seg", 0))
+		defer func() { sp.End() }()
+	}
 
-		stats.AttackLoss = append(stats.AttackLoss, attackLoss)
+	for it := 0; it < cfg.Iters; it++ {
+		segIt := it % segLen
+		if it > 0 && segIt == 0 && it/segLen < segments {
+			seg = it / segLen
+			src.restart(rng)
+			sp.End()
+			sp = root.Child("segment", obs.I("seg", seg))
+		}
+		src.preWindow(sp, it, segIt, segLen, rng)
+		window := pools.sampleWindow(rng, cfg.Consecutive && !m.static, cfg.WindowFrames)
+		decaled, step, err := src.decal(sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		attack, dTex, prob, err := forwardFrames(det, sc.Ground, decaled, window, sampler, rng, sc, cfg.TargetClass, sp, it)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep := step(dTex)
+		gradNorm := rep.grad.L2()
+
+		stats.AttackLoss = append(stats.AttackLoss, attack)
+		stats.GANLossD = append(stats.GANLossD, rep.ganD)
+		stats.GANLossG = append(stats.GANLossG, rep.ganG)
 		stats.TargetProb = append(stats.TargetProb, prob)
-		if cfg.Iters >= 40 && it >= cfg.Iters/4 && it%20 == 0 {
+		stats.GradNorm = append(stats.GradNorm, gradNorm)
+		if cfg.Iters >= 40 && segIt >= segLen/4 && it%m.snapEvery == 0 {
 			snapshot(it)
 		}
-		if root.Enabled() {
-			inkMean, inkFrac := inkStats(layerRaw, nil)
-			root.Iter(obs.IterStats{
-				Method: "baseline", It: it, Seg: 0, Final: it == cfg.Iters-1,
-				Attack: attackLoss, Alpha: 1, Weighted: attackLoss, Total: attackLoss,
-				PTarget: prob, GradNorm: param.Grad.L2(), LR: baselineLR,
+		if sp.Enabled() {
+			// The ink summary only exists for the journal; compute it under
+			// the enabled check so a nil trace stays free.
+			inkMean, inkFrac := inkStats(rep.ink, rep.mask)
+			sp.Iter(obs.IterStats{
+				Method: m.name, It: it, Seg: seg, Final: it == cfg.Iters-1,
+				Attack: attack, Alpha: rep.alpha, Weighted: rep.alpha * attack,
+				GanG: rep.ganG, GanD: rep.ganD, Total: rep.ganG + rep.alpha*attack,
+				PTarget: prob, GradNorm: gradNorm, LR: rep.lr,
 				InkMean: inkMean, InkFrac: inkFrac, Best: bestScore,
 			})
 		}
 	}
 	snapshot(cfg.Iters - 1)
-	if bestPatch != nil {
-		return bestPatch, stats, nil
+	if best == nil {
+		best = src.candidate()
 	}
-	return &Patch{RGB: param.Value.Clone(), Cfg: cfg}, stats, nil
+	return best, stats, nil
 }
+
+// grayDecal composites a monochrome layer onto the ground as it will print:
+// print expectation, silhouette mask, ink compositing. It returns the
+// decaled texture, the masked print-ready layer, and the map from a
+// texture gradient back to the layer.
+func grayDecal(sc Scene, cfg Config, layer, mask *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, func(*tensor.Tensor) *tensor.Tensor, error) {
+	printed, printBwd := printExpectation(layer)
+	masked, maskBwd := imaging.ApplyShapeMask(printed, mask)
+	decaled, gcomp, err := applyGrayDecals(sc.Ground, sc.Ground.Tex, masked, Placements(cfg, sc.TargetGX, sc.TargetGY), cfg.Ink)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return decaled, masked, func(dTex *tensor.Tensor) *tensor.Tensor { return printBwd(maskBwd(gcomp.backward(dTex))) }, nil
+}
+
+// ganSource is our attack's parameterisation: the generator's output for a
+// fixed latent zStar, trained against the detector and a Four Shapes
+// discriminator (Eq. 1).
+type ganSource struct {
+	cfg        Config
+	mask       *tensor.Tensor
+	g          *gan.Generator
+	d          *gan.Discriminator
+	optG, optD *optim.Adam
+	zStar      *tensor.Tensor // the z that will be "printed"
+	lr         float64        // generator LR after step decay
+	lastD      float64        // most recent discriminator loss (the D-step gate)
+}
+
+func newGANSource(cfg Config, rng *rand.Rand) patchSource {
+	s := &ganSource{cfg: cfg, lastD: 2 * math.Ln2} // start at the chance-level BCE
+	s.g = gan.NewGenerator(rng)
+	s.d = gan.NewDiscriminator(rng)
+	s.optG = optim.NewAdam(s.g.Params(), cfg.LRG)
+	s.optD = optim.NewAdam(s.d.Params(), cfg.LRD)
+	s.mask = shapes.Mask(cfg.Shape, gan.PatchRes, cfg.ShapeScale(), 0)
+	s.zStar = gan.SampleZ(rng, 1)
+	return s
+}
+
+// restart gives the segment a fresh generator and optimizer; D persists.
+func (s *ganSource) restart(rng *rand.Rand) {
+	s.g = gan.NewGenerator(rng)
+	s.optG = optim.NewAdam(s.g.Params(), s.cfg.LRG)
+	s.zStar = gan.SampleZ(rng, 1)
+}
+
+// preWindow step-decays the generator LR and takes the discriminator step.
+func (s *ganSource) preWindow(sp *obs.Span, it, segIt, segLen int, rng *rand.Rand) {
+	// Step-decay the generator LR for a stable final patch.
+	switch {
+	case segLen >= 10 && segIt == segLen*17/20:
+		s.lr = s.cfg.LRG * 0.1
+	case segLen >= 10 && segIt == segLen*3/5:
+		s.lr = s.cfg.LRG * 0.3
+	case segIt == 0:
+		s.lr = s.cfg.LRG
+	}
+	s.optG.SetLR(s.lr)
+	// Updating D (real Four Shapes vs generated) only every other iteration,
+	// and not at all once it confidently separates, keeps the realism term
+	// from saturating the patch into a solid silhouette, which would zero
+	// the attack gradient through the generator's output sigmoid.
+	if it%2 == 0 && s.lastD > 0.1 {
+		const dBatch = 6
+		real := shapes.Samples(rng, s.cfg.Shape, gan.PatchRes, dBatch)
+		zD := gan.SampleZ(rng, dBatch)
+		fakes := s.g.Forward(zD) // detached: no G backward from this pass
+		nn.ZeroGrads(s.d.Params())
+		s.lastD = gan.TracedDiscriminatorStep(sp, it, s.d, real, fakes)
+		s.optD.Step()
+		nn.ZeroGrads(s.d.Params())
+	}
+}
+
+// decal runs the generator; step takes GAN realism + α · attack back
+// through it.
+func (s *ganSource) decal(sc Scene) (*tensor.Tensor, func(*tensor.Tensor) stepReport, error) {
+	r := gan.PatchRes
+	patch4 := s.g.Forward(s.zStar) // [1,1,R,R]
+	decaled, masked, back, err := grayDecal(sc, s.cfg, patch4.Reshape(1, r, r), s.mask)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decaled, func(dTex *tensor.Tensor) stepReport {
+		dRaw := back(dTex).Scale(s.cfg.Alpha)
+		restoreD := nn.Freeze(s.d.Params()) // adversarial grad must not move D
+		lossG, dFake := gan.GeneratorAdversarialGrad(s.d, patch4)
+		restoreD()
+		dPatch := dFake.Reshape(1, r, r).Clone().AddInPlace(dRaw)
+		tensor.AssertFinite("patch gradient", dPatch)
+
+		nn.ZeroGrads(s.g.Params())
+		s.g.Backward(dPatch.Reshape(1, 1, r, r))
+		optim.ClipGradNorm(s.g.Params(), 5)
+		s.optG.Step()
+		return stepReport{ganG: lossG, ganD: s.lastD, alpha: s.cfg.Alpha, lr: s.lr, grad: dPatch, ink: masked, mask: s.mask}
+	}, nil
+}
+
+func (s *ganSource) candidate() *Patch {
+	s.g.SetTraining(false)
+	defer s.g.SetTraining(true)
+	return &Patch{Gray: s.g.Forward(s.zStar).Reshape(1, gan.PatchRes, gan.PatchRes).Clone(), Mask: s.mask.Clone(), Cfg: s.cfg}
+}
+
+// pixelSource optimises the patch's pixels directly with Adam, clamped to
+// [0,1]: the part the direct and colored sources share. Neither restarts.
+type pixelSource struct {
+	cfg   Config
+	param *nn.Param
+	opt   *optim.Adam
+	lr    float64
+}
+
+func newPixelSource(cfg Config, name string, init *tensor.Tensor, lr float64) pixelSource {
+	param := nn.NewParam(name, init)
+	return pixelSource{cfg: cfg, param: param, opt: optim.NewAdam([]*nn.Param{param}, lr), lr: lr}
+}
+
+func (*pixelSource) restart(*rand.Rand)                             {}
+func (*pixelSource) preWindow(*obs.Span, int, int, int, *rand.Rand) {}
+
+// layer clamps the pixels into a printable layer. update takes the layer's
+// gradient through the clamp, steps Adam, and returns the gradient.
+func (s *pixelSource) layer() (layer *tensor.Tensor, update func(dLayer *tensor.Tensor) *tensor.Tensor) {
+	clamp := imaging.NewClampUnit()
+	return clamp.Forward(s.param.Value), func(dLayer *tensor.Tensor) *tensor.Tensor {
+		s.param.Grad.Zero()
+		s.param.Grad.AddInPlace(clamp.Backward(dLayer))
+		tensor.AssertFinite("patch gradient", s.param.Grad)
+		s.opt.Step()
+		s.param.Value.Clamp(0, 1)
+		return s.param.Grad
+	}
+}
+
+// directSource is the GAN-free ablation: gray pixels behind the silhouette
+// mask, composited like our decal.
+type directSource struct {
+	pixelSource
+	mask *tensor.Tensor
+}
+
+func newDirectSource(cfg Config, rng *rand.Rand) patchSource {
+	r := gan.PatchRes
+	return &directSource{
+		pixelSource: newPixelSource(cfg, "direct.patch", tensor.NewRandU(rng, 0.05, 0.45, 1, r, r), 0.05),
+		mask:        shapes.Mask(cfg.Shape, r, cfg.ShapeScale(), 0),
+	}
+}
+
+func (s *directSource) decal(sc Scene) (*tensor.Tensor, func(*tensor.Tensor) stepReport, error) {
+	layer, update := s.layer()
+	decaled, masked, back, err := grayDecal(sc, s.cfg, layer, s.mask)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decaled, func(dTex *tensor.Tensor) stepReport {
+		return stepReport{alpha: 1, lr: s.lr, grad: update(back(dTex)), ink: masked, mask: s.mask}
+	}, nil
+}
+
+func (s *directSource) candidate() *Patch {
+	return &Patch{Gray: s.param.Value.Clone(), Mask: s.mask.Clone(), Cfg: s.cfg}
+}
+
+// coloredSource is the baseline of [34]: a full-square RGB sticker.
+type coloredSource struct{ pixelSource }
+
+func newColoredSource(cfg Config, rng *rand.Rand) patchSource {
+	r := gan.PatchRes
+	return &coloredSource{newPixelSource(cfg, "baseline.patch", tensor.NewRandU(rng, 0.25, 0.75, 3, r, r), 0.03)}
+}
+
+func (s *coloredSource) decal(sc Scene) (*tensor.Tensor, func(*tensor.Tensor) stepReport, error) {
+	layer, update := s.layer()
+	printed, printBwd := printExpectation(layer)
+	decaled, rcomp, err := applyRGBDecals(sc.Ground, sc.Ground.Tex, printed, Placements(s.cfg, sc.TargetGX, sc.TargetGY))
+	if err != nil {
+		return nil, nil, err
+	}
+	return decaled, func(dTex *tensor.Tensor) stepReport {
+		return stepReport{alpha: 1, lr: s.lr, grad: update(printBwd(rcomp.backward(dTex))), ink: layer}
+	}, nil
+}
+
+func (s *coloredSource) candidate() *Patch { return &Patch{RGB: s.param.Value.Clone(), Cfg: s.cfg} }

@@ -31,22 +31,9 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"roadtrojan/internal/clock"
 )
-
-// Clock is the subset of fabric.Clock chaos needs; fabric's clocks satisfy
-// it without an import in either direction.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type wallClock struct{}
-
-func (wallClock) Now() time.Time                         { return time.Now() }
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// WallClock returns the real-time clock (the default when New gets nil).
-func WallClock() Clock { return wallClock{} }
 
 // Direction selects which half of a connection a fault applies to, from the
 // wrapped endpoint's point of view: Inbound faults afflict Reads, Outbound
@@ -162,7 +149,7 @@ type DialFunc func(addr string) (net.Conn, error)
 type Injector struct {
 	seed  int64
 	plan  Plan
-	clock Clock
+	clock clock.Clock
 
 	mu       sync.Mutex
 	ordinals map[string]int
@@ -173,15 +160,15 @@ type Injector struct {
 	keys     []string // connection keys in creation order (per-key logs stay ordered)
 }
 
-// New builds an injector. A nil clock means WallClock.
-func New(seed int64, plan Plan, clock Clock) *Injector {
-	if clock == nil {
-		clock = WallClock()
+// New builds an injector. A nil clk means clock.Wall.
+func New(seed int64, plan Plan, clk clock.Clock) *Injector {
+	if clk == nil {
+		clk = clock.Wall()
 	}
 	return &Injector{
 		seed:     seed,
 		plan:     plan,
-		clock:    clock,
+		clock:    clk,
 		ordinals: map[string]int{},
 		parts:    map[string]bool{},
 		partGen:  make(chan struct{}),

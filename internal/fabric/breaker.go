@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/telemetry"
 )
 
@@ -19,13 +20,13 @@ const (
 // transport failures (dial refused, Hello never completed, connection
 // death) the breaker opens and the backend stops burning dial attempts on
 // a peer that is clearly down. Once Cooldown elapses — measured on the
-// injected fabric.Clock so chaos tests can fast-forward it — a single
+// injected clock.Clock so chaos tests can fast-forward it — a single
 // half-open probe is allowed; a completed Hello handshake closes the
 // breaker again, any failure snaps it back open for a fresh cooldown.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	clock     Clock
+	clock     clock.Clock
 	opens     *telemetry.Counter
 
 	mu       sync.Mutex
@@ -34,8 +35,8 @@ type breaker struct {
 	openedAt time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock Clock, opens *telemetry.Counter) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock, opens: opens}
+func newBreaker(threshold int, cooldown time.Duration, clk clock.Clock, opens *telemetry.Counter) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown, clock: clk, opens: opens}
 }
 
 // ready reports whether a connection attempt is allowed now, transitioning

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"roadtrojan/internal/chaos"
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/eval"
 	"roadtrojan/internal/serve"
 )
@@ -208,7 +209,7 @@ func TestChaosSlowLorisHelloTimeout(t *testing.T) {
 		chaos.On(addr, 0, chaos.Fault{Kind: chaos.KindSlowLoris, Dir: chaos.Inbound, Chunk: 1, Delay: 30 * time.Millisecond}),
 	}}, nil)
 	start := time.Now()
-	g := newTestGateway(t, WallClock(), []string{addr}, func(cfg *GatewayConfig) {
+	g := newTestGateway(t, clock.Wall(), []string{addr}, func(cfg *GatewayConfig) {
 		cfg.Dial = in.Dial(tcpDial)
 		cfg.HelloTimeout = 150 * time.Millisecond
 	})
@@ -399,7 +400,7 @@ func TestChaosWALReplayAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := newTestGateway(t, WallClock(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
+	g2 := newTestGateway(t, clock.Wall(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
 		cfg.WAL = wal2
 		cfg.RetryBackoff = 20 * time.Millisecond
 		cfg.MaxAttempts = 10 // replay races the first backend dial; be patient

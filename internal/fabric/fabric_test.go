@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"roadtrojan/internal/attack"
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/eval"
 	"roadtrojan/internal/metrics"
 	"roadtrojan/internal/serve"
@@ -150,11 +151,11 @@ func nodeByAddr(t *testing.T, nodes []*fabricNode, addr string) *fabricNode {
 	return nil
 }
 
-func newTestGateway(t *testing.T, clock Clock, addrs []string, mutate func(*GatewayConfig)) *Gateway {
+func newTestGateway(t *testing.T, clk clock.Clock, addrs []string, mutate func(*GatewayConfig)) *Gateway {
 	t.Helper()
 	cfg := GatewayConfig{
 		Nodes:            addrs,
-		Clock:            clock,
+		Clock:            clk,
 		RetryBackoff:     time.Millisecond,
 		RedialBackoff:    time.Millisecond,
 		HeartbeatTimeout: time.Hour, // staleness is driven by the injected clock

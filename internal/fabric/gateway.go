@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/serve"
 	"roadtrojan/internal/telemetry"
@@ -63,8 +64,8 @@ type GatewayConfig struct {
 	// Dial opens a connection to a node address; nil means TCP with a 5s
 	// timeout. Tests inject loopback or in-memory dialers.
 	Dial func(addr string) (net.Conn, error)
-	// Clock drives staleness checks and backoff; nil means WallClock.
-	Clock Clock
+	// Clock drives staleness checks and backoff; nil means clock.Wall.
+	Clock clock.Clock
 	// Trace receives one span per HTTP request (nil = no tracing).
 	Trace *obs.Trace
 }
@@ -103,7 +104,7 @@ func (c *GatewayConfig) fillDefaults() {
 		}
 	}
 	if c.Clock == nil {
-		c.Clock = WallClock()
+		c.Clock = clock.Wall()
 	}
 }
 
@@ -127,7 +128,7 @@ var ErrGatewayClosed = errors.New("fabric: gateway shut down")
 type Gateway struct {
 	cfg    GatewayConfig
 	reg    *telemetry.Registry
-	clock  Clock
+	clock  clock.Clock
 	ring   *Ring
 	closed chan struct{}
 

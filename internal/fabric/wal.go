@@ -51,28 +51,54 @@ type WAL struct {
 
 // OpenWAL opens (creating if absent) the journal at path and reads every
 // intact record. A torn final line — the expected artifact of a crash
-// mid-append — is tolerated: decoding stops there and the file is appended
-// to as usual, so the torn bytes are simply dead.
+// mid-append — is cut off: the file is truncated back to the end of the
+// last intact record, so the next Append starts a line of its own instead
+// of joining the torn bytes (which would make that record, and every one
+// after it, unreadable on the following restart). A bad line with intact
+// lines after it is not a torn tail but a damaged file, and OpenWAL fails
+// naming it — the rule obs.ReadJournalLenient applies to run journals.
 func OpenWAL(path string) (*WAL, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("fabric: read wal %s: %w", path, err)
 	}
-	var records []WALRecord
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
+	var (
+		records []WALRecord
+		keep    int   // end of the last intact record, newline included
+		torn    error // a bad line, forgiven only if nothing follows it
+	)
+	for n, off := 1, 0; off < len(data); n++ {
+		line, rest, _ := bytes.Cut(data[off:], []byte{'\n'})
+		off = len(data) - len(rest)
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
+		}
+		if torn != nil {
+			return nil, torn
 		}
 		var rec WALRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break
+			torn = fmt.Errorf("fabric: wal %s line %d is damaged and more lines follow it: %w", path, n, err)
+			continue
 		}
 		records = append(records, rec)
+		keep = off
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: open wal %s: %w", path, err)
+	}
+	// Cut the torn tail; an intact last record the crash left without its
+	// newline gets one, for the same reason.
+	if keep < len(data) {
+		err = f.Truncate(int64(keep))
+	}
+	if err == nil && keep > 0 && data[keep-1] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("fabric: repair wal %s: %w", path, err)
 	}
 	return &WAL{f: f, records: records}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/eval"
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/tensor"
@@ -36,17 +37,17 @@ type coalescer[T any] struct {
 	done  chan struct{}
 	size  int
 	wait  time.Duration
-	clock Clock
+	clock clock.Clock
 	flush func(batch []T, reason string)
 }
 
-func newCoalescer[T any](size, buffer int, wait time.Duration, clock Clock, flush func([]T, string)) *coalescer[T] {
+func newCoalescer[T any](size, buffer int, wait time.Duration, clk clock.Clock, flush func([]T, string)) *coalescer[T] {
 	c := &coalescer[T]{
 		in:    make(chan T, buffer),
 		done:  make(chan struct{}),
 		size:  size,
 		wait:  wait,
-		clock: clock,
+		clock: clk,
 		flush: flush,
 	}
 	go c.run()

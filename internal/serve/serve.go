@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"time"
 
+	"roadtrojan/internal/clock"
 	"roadtrojan/internal/eval"
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/telemetry"
@@ -60,7 +61,7 @@ type Config struct {
 	BatchDeadline time.Duration
 	// Clock injects time for the coalescer deadline (tests); nil means the
 	// wall clock.
-	Clock Clock
+	Clock clock.Clock
 	// JobTimeout is the per-job context deadline; 0 means 2 minutes.
 	JobTimeout time.Duration
 	// Job evaluates one scenario. Nil means eval.RunJob; tests inject
@@ -95,7 +96,7 @@ func (c *Config) fillDefaults() {
 		c.BatchDeadline = 2 * time.Millisecond
 	}
 	if c.Clock == nil {
-		c.Clock = WallClock()
+		c.Clock = clock.Wall()
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute

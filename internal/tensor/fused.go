@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Eval-time fused convolution kernels. A darknet conv block is
 // conv → batch-norm → leaky ReLU; run as three modules that is three full
@@ -14,11 +11,10 @@ import (
 //
 //   - Conv2DBNLeaky keeps the batch-norm arithmetic verbatim
 //     (γ·((v−μ)·invSD)+β, then the rectifier) so its output is bit-identical
-//     to the unfused module chain. This is the exact-parity kernel serving
-//     uses by default: fused and unfused replicas stay byte-interchangeable.
-//   - Conv2DBiasLeaky takes weights with the batch-norm scale already folded
-//     in (and the shift hoisted into a bias), saving the per-element affine;
-//     it matches the unfused chain only to floating-point reassociation.
+//     to the unfused module chain. This is the kernel fused serving uses:
+//     fused and unfused replicas stay byte-interchangeable.
+//   - Conv2DBiasLeaky fuses a biased convolution with the rectifier (no
+//     batch norm).
 //
 // Both run on Conv2D's skeleton (convForward), with the affine and the
 // rectifier as its epilogue: they split across cores the same way and
@@ -52,10 +48,9 @@ func Conv2DBNLeaky(input, weight *Tensor, gamma, beta, mean, invSD []float64, st
 	})
 }
 
-// Conv2DBiasLeaky computes leaky(conv(x,W')+b') in one pass, for weights W'
-// and bias b' with the batch-norm scale/shift already folded in (see
-// FoldBN). The bias add and rectifier ride the same pass over the output,
-// so the folded block costs exactly one convolution.
+// Conv2DBiasLeaky computes leaky(conv(x,W)+b) in one pass. The bias add and
+// rectifier ride the same pass over the output, so the block costs exactly
+// one convolution.
 func Conv2DBiasLeaky(input, weight, bias *Tensor, stride, pad int, slope float64) *Tensor {
 	oc := weight.shape[0]
 	if bias.Len() != oc {
@@ -76,30 +71,4 @@ func Conv2DBiasLeaky(input, weight, bias *Tensor, stride, pad int, slope float64
 			}
 		}
 	})
-}
-
-// FoldBN folds an eval-mode batch-norm into convolution weights: W'[o,…] =
-// W[o,…]·γ[o]·invSD[o] and b'[o] = β[o] − μ[o]·γ[o]·invSD[o], with invSD =
-// 1/sqrt(var+eps). Feeding the results to Conv2DBiasLeaky reproduces the
-// conv→BN(eval) chain up to floating-point reassociation (the scale now
-// multiplies each weight before the dot product instead of the sum after).
-func FoldBN(weight *Tensor, gamma, beta, mean, variance []float64, eps float64) (*Tensor, *Tensor) {
-	oc := weight.shape[0]
-	if len(gamma) != oc || len(beta) != oc || len(mean) != oc || len(variance) != oc {
-		panic(fmt.Sprintf("tensor: FoldBN affine length %d/%d/%d/%d, want %d",
-			len(gamma), len(beta), len(mean), len(variance), oc))
-	}
-	fw := weight.Clone()
-	fb := New(oc)
-	per := len(weight.data) / oc
-	for o := 0; o < oc; o++ {
-		invSD := 1 / math.Sqrt(variance[o]+eps)
-		s := gamma[o] * invSD
-		seg := fw.data[o*per : (o+1)*per]
-		for i := range seg {
-			seg[i] *= s
-		}
-		fb.data[o] = beta[o] - mean[o]*s
-	}
-	return fw, fb
 }

@@ -231,8 +231,8 @@ func (m *Model) SetTraining(training bool) {
 // block (the two head convolutions carry their own bias and are unaffected).
 // Fusing is inference-only: Backward through a fused Forward panics, so
 // training paths (including the attack trainer's eval-mode backprop) leave
-// it off. The exact-parity kernels keep fused output bit-identical to the
-// unfused chain; serving enables this on its worker replicas.
+// it off. The fused kernels keep output bit-identical to the unfused
+// chain; serving enables this on its worker replicas.
 func (m *Model) SetFused(on bool) {
 	for _, cb := range m.blocks() {
 		cb.SetFused(on)
