@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the tier-1 verify path:
 # gofmt + build + vet + rtlint + race-enabled tests (scripts/check.sh).
 
-.PHONY: check build vet lint test race chaos trace bench bench-serve bench-tables serve report
+.PHONY: check build vet lint test race chaos trace bench bench-serve bench-tables serve report delta
 
 check:
 	./scripts/check.sh
@@ -68,3 +68,9 @@ serve:
 JOURNAL ?= out/run.jsonl
 report:
 	go run ./cmd/runreport $(JOURNAL)
+
+# Net *.go line delta (non-test vs _test.go) of the working tree against
+# BASE (default HEAD), as each change states it in CHANGES.md.
+BASE ?= HEAD
+delta:
+	./scripts/godelta.sh $(BASE)

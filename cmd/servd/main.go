@@ -83,7 +83,7 @@ func run() error {
 	// One executor (worker pool + cache) behind both transports: the HTTP
 	// server and, when -fabric is set, the framed node protocol.
 	exec := serve.NewExecutor(det.Model(), cfg, nil)
-	s := serve.NewWith(exec, cfg)
+	s := serve.NewWith(exec)
 
 	// build_info follows the Prometheus convention: a constant-1 gauge whose
 	// labels carry the build identity, so dashboards can join on it.

@@ -343,17 +343,11 @@ func (b *backend) remove() {
 	}
 }
 
-// roundTrip sends one job and blocks for its reply. When ctx carries a
-// deadline, or trace carries an encoded obs.SpanContext, they ride along in
-// a JobPayload envelope — the remaining budget lets the node cancel work the
-// gateway has abandoned, and the trace context parents the node's fabric_job
-// span under the gateway's attempt span. Bare requests still go out when
-// neither is present, exercising the compatibility path.
+// roundTrip sends one job in a JobPayload envelope and blocks for its
+// reply. The remaining budget of ctx's deadline lets the node cancel work
+// the gateway has abandoned, and trace (an encoded obs.SpanContext) parents
+// the node's fabric_job span under the gateway's attempt span.
 func (b *backend) roundTrip(ctx context.Context, req serve.EvalRequest, trace string) ([]byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encode job: %v", serve.ErrBadRequest, err)
-	}
 	var ms int64
 	if dl, ok := ctx.Deadline(); ok {
 		// Round up: a truncated budget would let the node's deadline
@@ -364,11 +358,9 @@ func (b *backend) roundTrip(ctx context.Context, req serve.EvalRequest, trace st
 			ms = 1 // expired budgets still travel: the node rejects instantly
 		}
 	}
-	if ms > 0 || trace != "" {
-		payload, err = json.Marshal(JobPayload{TimeoutMs: ms, Trace: trace, Req: payload})
-		if err != nil {
-			return nil, fmt.Errorf("%w: encode job envelope: %v", serve.ErrBadRequest, err)
-		}
+	payload, err := encodeJob(req, ms, trace)
+	if err != nil {
+		return nil, fmt.Errorf("%w: encode job: %v", serve.ErrBadRequest, err)
 	}
 	id := b.g.jobSeq.Add(1)
 	pj := &pendingJob{done: make(chan jobReply, 1)}

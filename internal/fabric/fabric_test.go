@@ -777,6 +777,56 @@ func TestGatewayValidatesAtEdge(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsBareRequestFrame: a Job frame must carry the JobPayload
+// envelope; a bare serve.EvalRequest is answered with a bad_request error
+// frame instead of being run.
+func TestNodeRejectsBareRequestFrame(t *testing.T) {
+	var calls atomic.Int64
+	jobFor := func(string) eval.JobFunc {
+		return func(eval.Job) (eval.Detail, error) {
+			calls.Add(1)
+			return stubDetail(0.25), nil
+		}
+	}
+	nodes := startNodes(t, fabricDetector(), 1, serve.Config{Workers: 1, QueueSize: 2}, jobFor)
+	conn, err := net.Dial("tcp", nodes[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	bare, err := json.Marshal(evalReq(t, 91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, Frame{Type: FrameJob, JobID: 7, Payload: bare}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.JobID != 7 {
+			continue // Hello, Health, Stats
+		}
+		if f.Type != FrameError {
+			t.Fatalf("bare request answered with frame type %d (%s), want an error frame", f.Type, f.Payload)
+		}
+		var je JobError
+		if err := json.Unmarshal(f.Payload, &je); err != nil {
+			t.Fatal(err)
+		}
+		if je.Code != CodeBadRequest {
+			t.Errorf("error frame %+v, want code %q", je, CodeBadRequest)
+		}
+		break
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("bare request ran %d jobs, want 0", n)
+	}
+}
+
 // TestGatewayMetricsExposition spot-checks the gateway registry surface:
 // the derived ring/backend gauges and the per-endpoint counters.
 func TestGatewayMetricsExposition(t *testing.T) {

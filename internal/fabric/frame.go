@@ -14,7 +14,7 @@
 //	16      4     payload length (little-endian uint32, ≤ MaxPayload)
 //	20      n     payload
 //
-// Payloads are JSON: jobs carry serve.EvalRequest, results carry the
+// Payloads are JSON: jobs carry a JobPayload envelope, results carry the
 // node-encoded serve.EvalResponse bytes verbatim (the gateway forwards
 // them untouched, which is what makes gateway results byte-identical to
 // single-box serve), health frames carry Health, and error frames carry
@@ -29,7 +29,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"time"
 
+	"roadtrojan/internal/serve"
 	"roadtrojan/internal/telemetry"
 )
 
@@ -53,7 +56,7 @@ const (
 	// FrameHello is the node's first frame on a new connection: a Health
 	// payload introducing the node (id, capacity).
 	FrameHello = uint8(iota + 1)
-	// FrameJob is a gateway→node evaluation job: a serve.EvalRequest.
+	// FrameJob is a gateway→node evaluation job: a JobPayload.
 	FrameJob
 	// FrameAck acknowledges a job was accepted into the node's queue.
 	FrameAck
@@ -155,19 +158,52 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // dequeuing) work the gateway has already abandoned instead of burning a
 // worker slot on an answer nobody is waiting for. The budget is relative
 // (milliseconds), not an absolute time — gateway and node clocks are not
-// assumed synchronized. Nodes also accept a bare serve.EvalRequest payload
-// for compatibility with pre-envelope gateways.
+// assumed synchronized.
 type JobPayload struct {
-	// TimeoutMs is the remaining job budget in milliseconds; 0 means no
-	// deadline.
+	// TimeoutMs is the remaining job budget in milliseconds; 0 (omitted)
+	// means no deadline.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Trace is an encoded obs.SpanContext: the gateway's attempt span, so
-	// the node's fabric_job span joins the request's causal tree. Optional
-	// and ignored by pre-tracing nodes (unknown JSON keys are skipped);
-	// bare-request payloads simply carry no context.
+	// the node's fabric_job span joins the request's causal tree. Omitted
+	// for untraced jobs.
 	Trace string `json:"trace,omitempty"`
 	// Req is the serve.EvalRequest JSON.
 	Req json.RawMessage `json:"req"`
+}
+
+// encodeJob builds a FrameJob payload.
+func encodeJob(req serve.EvalRequest, timeoutMs int64, trace string) ([]byte, error) {
+	raw, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(JobPayload{TimeoutMs: timeoutMs, Trace: trace, Req: raw})
+}
+
+// maxTimeoutMs is the largest budget a time.Duration holds; larger ones
+// are clamped to it instead of wrapping negative.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeJob parses a FrameJob payload into the request, its deadline
+// budget (0 means none) and the encoded trace context. A payload that is
+// not a JobPayload envelope carrying a req is an error.
+func decodeJob(payload []byte) (serve.EvalRequest, time.Duration, string, error) {
+	var env JobPayload
+	var req serve.EvalRequest
+	if err := json.Unmarshal(payload, &env); err != nil {
+		return req, 0, "", err
+	}
+	if len(env.Req) == 0 {
+		return req, 0, "", errors.New("envelope has no req")
+	}
+	if err := json.Unmarshal(env.Req, &req); err != nil {
+		return req, 0, "", err
+	}
+	var timeout time.Duration
+	if env.TimeoutMs > 0 {
+		timeout = time.Duration(min(env.TimeoutMs, maxTimeoutMs)) * time.Millisecond
+	}
+	return req, timeout, env.Trace, nil
 }
 
 // StatsPayload is the FrameStats payload: one node's stage-histogram

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"roadtrojan/internal/serve"
 )
 
 // FuzzReadFrame pins the strict-decode contract: whatever bytes arrive,
@@ -71,6 +73,52 @@ func FuzzReadFrame(f *testing.F) {
 			if back.Type != fr.Type || back.JobID != fr.JobID || !bytes.Equal(back.Payload, fr.Payload) {
 				t.Fatalf("round trip mismatch: %+v vs %+v", fr, back)
 			}
+		}
+	})
+}
+
+// FuzzDecodeJobPayload pins the node's job decoder: whatever payload
+// arrives, decodeJob never panics, never reports a negative budget, and
+// anything it accepts re-encodes (via the gateway's encodeJob) to a
+// payload that decodes to the same request, budget and trace.
+func FuzzDecodeJobPayload(f *testing.F) {
+	req := serve.EvalRequest{Scene: "road", Challenge: "fix", Mode: "digital", Runs: 1, Seed: 5, Target: 2}
+	for _, seed := range []struct {
+		ms    int64
+		trace string
+	}{{0, ""}, {1500, ""}, {1500, "gw:gateway_request#0;gw;gateway_request#0/dispatch#0/attempt#0;3"}} {
+		env, err := encodeJob(req, seed.ms, seed.trace)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		f.Add(env[:len(env)/2]) // truncated JSON
+	}
+	f.Add([]byte(`{"scene":"road","challenge":"fix","runs":1,"seed":5,"target":2}`)) // bare request
+	f.Add([]byte(`{"timeoutMs":10,"req":"road"}`))                                   // req of the wrong type
+	f.Add([]byte(`{"timeoutMs":9223372036854775807,"req":{}}`))                      // budget beyond time.Duration
+	f.Add([]byte(`{"req":null}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req, timeout, trace, err := decodeJob(payload)
+		if err != nil {
+			return
+		}
+		if timeout < 0 {
+			t.Fatalf("negative budget %v from %q", timeout, payload)
+		}
+		env, err := encodeJob(req, timeout.Milliseconds(), trace)
+		if err != nil {
+			t.Fatalf("re-encode of accepted payload failed: %v", err)
+		}
+		req2, timeout2, trace2, err := decodeJob(env)
+		if err != nil {
+			t.Fatalf("re-decode of %q failed: %v", env, err)
+		}
+		if req2 != req || timeout2 != timeout || trace2 != trace {
+			t.Fatalf("round trip mismatch: (%+v, %v, %q) vs (%+v, %v, %q)", req, timeout, trace, req2, timeout2, trace2)
 		}
 	})
 }

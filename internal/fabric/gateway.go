@@ -483,53 +483,17 @@ func (g *Gateway) getJob(id string) *asyncJob {
 
 // --- HTTP front-end ---
 
-// Handler returns the gateway mux.
+// Handler returns the gateway mux. A request without an inbound trace
+// context mints a fresh trace, rooted at the gateway.
 func (g *Gateway) Handler() http.Handler {
+	in := serve.Instrument(g.reg, g.cfg.Trace, "fabric_gateway", "gateway_request")
 	mux := http.NewServeMux()
-	mux.Handle("/v1/evaluate", g.instrument("evaluate", g.handleEvaluate))
-	mux.Handle("POST /v1/jobs", g.instrument("jobs_submit", g.handleSubmit))
-	mux.Handle("GET /v1/jobs/{id}", g.instrument("jobs_poll", g.handlePoll))
-	mux.Handle("/healthz", g.instrument("healthz", g.handleHealthz))
+	mux.Handle("/v1/evaluate", in("evaluate", g.handleEvaluate))
+	mux.Handle("POST /v1/jobs", in("jobs_submit", g.handleSubmit))
+	mux.Handle("GET /v1/jobs/{id}", in("jobs_poll", g.handlePoll))
+	mux.Handle("/healthz", in("healthz", g.handleHealthz))
 	mux.Handle("/metrics", http.HandlerFunc(g.handleMetrics))
 	return mux
-}
-
-func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	hist := g.reg.Histogram("fabric_gateway_request_seconds", "request latency by endpoint",
-		telemetry.Labels{"endpoint": endpoint}, nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// An inbound trace context (an upstream caller's span) makes this
-		// request span a child in its tree; otherwise a fresh trace is
-		// minted here and the gateway is the root.
-		sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-		sp := g.cfg.Trace.SpanInContext(sc, "gateway_request", obs.S("endpoint", endpoint), obs.S("method", r.Method))
-		if sp != nil {
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		sp.End(obs.I("code", sw.code))
-		hist.Observe(time.Since(start).Seconds())
-		g.reg.Counter("fabric_gateway_requests_total", "requests by endpoint and status code",
-			telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeDispatchError maps dispatch failures onto the serve error surface.
@@ -539,34 +503,40 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &sat):
 		w.Header().Set("Retry-After", strconv.Itoa(sat.retryAfter))
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeSaturated})
+		serve.WriteError(w, http.StatusTooManyRequests, serve.CodeSaturated, err.Error())
 	case errors.Is(err, serve.ErrBadRequest):
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, err.Error())
 	case errors.Is(err, ErrNoBackends), errors.Is(err, ErrGatewayClosed), errors.Is(err, errBackendDown):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeUnavailable})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeTimeout})
+		serve.WriteError(w, http.StatusGatewayTimeout, serve.CodeTimeout, err.Error())
 	default:
-		writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeInternal})
+		serve.WriteError(w, http.StatusBadGateway, serve.CodeInternal, err.Error())
 	}
+}
+
+// decodeEvalRequest is the gateway's request preamble: the shared POST +
+// JSON decode, then validation at the edge so a malformed job never costs
+// a node round-trip.
+func decodeEvalRequest(w http.ResponseWriter, r *http.Request) (serve.EvalRequest, bool) {
+	var req serve.EvalRequest
+	if !serve.DecodePOST(w, r, &req) {
+		return req, false
+	}
+	if err := req.Validate(); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, err.Error())
+		return req, false
+	}
+	return req, true
 }
 
 // handleEvaluate is the synchronous compatibility path: same request and
 // response shape as single-box serve, with the node's response bytes
 // forwarded verbatim.
 func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST required", Code: serve.CodeMethodNotAllowed})
-		return
-	}
-	var req serve.EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+	req, ok := decodeEvalRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.JobTimeout)
@@ -600,25 +570,20 @@ type jobStatusResponse struct {
 // as the sync path), journal it, park it in the bounded table, dispatch in
 // the background, return the poll handle.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req serve.EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+	req, ok := decodeEvalRequest(w, r)
+	if !ok {
 		return
 	}
 	select {
 	case <-g.closed:
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: ErrGatewayClosed.Error(), Code: serve.CodeShuttingDown})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeShuttingDown, ErrGatewayClosed.Error())
 		return
 	default:
 	}
 	if retryAfter, sat := g.fleetSaturated(); sat {
 		g.saturated.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: all shards saturated", Code: serve.CodeSaturated})
+		serve.WriteError(w, http.StatusTooManyRequests, serve.CodeSaturated, "fabric: all shards saturated")
 		return
 	}
 	seq := g.asyncSeq.Add(1)
@@ -626,7 +591,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job := &asyncJob{id: id, status: "pending"}
 	if !g.addJob(job) {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: job table full", Code: serve.CodeSaturated})
+		serve.WriteError(w, http.StatusTooManyRequests, serve.CodeSaturated, "fabric: job table full")
 		return
 	}
 	if g.wal != nil {
@@ -641,7 +606,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.runAsync(job, req)
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: "pending"})
+	serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: "pending"})
 }
 
 // fleetSaturated reports whether every routable backend's last health
@@ -773,11 +738,11 @@ func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job := g.getJob(id)
 	if job == nil {
-		writeJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown job " + id, Code: serve.CodeNotFound})
+		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, "unknown job "+id)
 		return
 	}
 	status, result, errMsg := job.view()
-	writeJSON(w, http.StatusOK, jobStatusResponse{ID: id, Status: status, Result: result, Error: errMsg})
+	serve.WriteJSON(w, http.StatusOK, jobStatusResponse{ID: id, Status: status, Result: result, Error: errMsg})
 }
 
 // handleHealthz reports the fleet as the gateway sees it. A shut-down
@@ -808,7 +773,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			status, code = "no_backends", http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":     status,
 		"draining":   draining,
 		"ring_nodes": g.ring.Len(),

@@ -265,26 +265,13 @@ func (n *Node) writeStats(c *nodeConn) error {
 	return c.write(Frame{Type: FrameStats, Payload: payload})
 }
 
-// startJob validates and dispatches one Job frame. The executor's bounded
-// queue applies backpressure: a full queue answers immediately with a
-// queue_full error frame instead of parking the connection. Payloads may
-// be a JobPayload envelope (request + remaining deadline budget) or a bare
-// serve.EvalRequest from a pre-envelope gateway.
+// startJob validates and dispatches one Job frame, a JobPayload envelope.
+// The executor's bounded queue applies backpressure: a full queue answers
+// immediately with a queue_full error frame instead of parking the
+// connection.
 func (n *Node) startJob(c *nodeConn, f Frame) {
-	var req serve.EvalRequest
-	var timeout time.Duration
-	var trace string
-	var env JobPayload
-	if err := json.Unmarshal(f.Payload, &env); err == nil && len(env.Req) > 0 {
-		if err := json.Unmarshal(env.Req, &req); err != nil {
-			n.writeJobError(c, f.JobID, JobError{Code: CodeBadRequest, Error: "bad job payload: " + err.Error()})
-			return
-		}
-		if env.TimeoutMs > 0 {
-			timeout = time.Duration(env.TimeoutMs) * time.Millisecond
-		}
-		trace = env.Trace
-	} else if err := json.Unmarshal(f.Payload, &req); err != nil {
+	req, timeout, trace, err := decodeJob(f.Payload)
+	if err != nil {
 		n.writeJobError(c, f.JobID, JobError{Code: CodeBadRequest, Error: "bad job payload: " + err.Error()})
 		return
 	}
@@ -314,11 +301,9 @@ func (n *Node) startJob(c *nodeConn, f Frame) {
 // node pushes a Stats frame so the gateway's fleet view reflects the work
 // promptly rather than on the next heartbeat.
 func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout time.Duration, trace string) {
-	sc, ok := obs.ParseSpanContext(trace)
-	if !ok {
-		// A malformed context must not fail the job: trace locally instead.
-		sc = obs.SpanContext{}
-	}
+	// A malformed context must not fail the job: it parses as the zero
+	// context, and the job is traced locally instead.
+	sc, _ := obs.ParseSpanContext(trace)
 	sp := n.cfg.Trace.SpanInContext(sc, "fabric_job", obs.S("node", n.cfg.ID), obs.I64("job", int64(id)))
 	ctx := obs.ContextWithSpan(context.Background(), sp)
 	if timeout > 0 {

@@ -20,7 +20,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -108,7 +107,6 @@ func (c *Config) fillDefaults() {
 
 // Server is the HTTP transport over an Executor.
 type Server struct {
-	cfg     Config
 	exec    *Executor
 	reg     *telemetry.Registry
 	ownExec bool
@@ -120,32 +118,28 @@ type Server struct {
 // server never runs inference on it. The executor is owned: Shutdown drains
 // it.
 func New(det *yolo.Model, cfg Config) *Server {
-	cfg.fillDefaults()
-	s := NewWith(NewExecutor(det, cfg, nil), cfg)
+	s := NewWith(NewExecutor(det, cfg, nil))
 	s.ownExec = true
 	return s
 }
 
 // NewWith wraps an existing executor — the path cmd/servd uses to share one
-// pool between the HTTP server and a fabric node. The caller keeps
-// ownership of exec: Shutdown stops the listener but does not drain the
-// pool.
-func NewWith(exec *Executor, cfg Config) *Server {
-	cfg.fillDefaults()
-	return &Server{cfg: cfg, exec: exec, reg: exec.Metrics()}
+// pool between the HTTP server and a fabric node — and serves with the
+// executor's Config. The caller keeps ownership of exec: Shutdown stops the
+// listener but does not drain the pool.
+func NewWith(exec *Executor) *Server {
+	return &Server{exec: exec, reg: exec.Metrics()}
 }
-
-// Executor exposes the execution core (for embedding a second transport).
-func (s *Server) Executor() *Executor { return s.exec }
 
 // Handler returns the service mux (for embedding or tests).
 func (s *Server) Handler() http.Handler {
+	in := Instrument(s.reg, s.exec.cfg.Trace, "serve", "request")
 	mux := http.NewServeMux()
-	mux.Handle("/v1/detect", s.instrument("detect", s.handleDetect))
-	mux.Handle("/v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
-	mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
+	mux.Handle("/v1/detect", in("detect", handleExec(s, s.exec.Detect)))
+	mux.Handle("/v1/evaluate", in("evaluate", handleExec(s, s.exec.Evaluate)))
+	mux.Handle("/healthz", in("healthz", s.handleHealthz))
 	mux.Handle("/metrics", s.reg.Handler())
-	if s.cfg.EnablePprof {
+	if s.exec.cfg.EnablePprof {
 		obs.RegisterPprof(mux)
 	}
 	return mux
@@ -188,46 +182,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return httpErr
 }
 
-// instrument wraps a handler with request counting, latency observation,
-// and trace-context handling: an incoming X-Roadtrojan-Trace header joins
-// the request span to the caller's trace (a bad header is ignored — tracing
-// must never fail a request), and the span rides the request context so the
-// executor can parent its stage spans.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	hist := s.reg.Histogram("serve_request_seconds", "request latency by endpoint",
-		telemetry.Labels{"endpoint": endpoint}, nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-		sp := s.cfg.Trace.SpanInContext(sc, "request", obs.S("endpoint", endpoint), obs.S("method", r.Method))
-		if sp != nil {
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		sp.End(obs.I("code", sw.code))
-		hist.Observe(time.Since(start).Seconds())
-		s.reg.Counter("serve_requests_total", "requests by endpoint and status code",
-			telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeExecError maps executor errors to HTTP statuses. Queue-full
 // rejections carry a Retry-After hint sized from the observed job rate, so
 // well-behaved clients (and the fabric gateway's backpressure path) know
@@ -235,56 +189,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) writeExecError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBadRequest):
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: CodeBadRequest})
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.exec.RetryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error(), Code: CodeQueueFull})
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
 	case errors.Is(err, ErrShuttingDown):
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error(), Code: CodeShuttingDown})
+		WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: err.Error(), Code: CodeTimeout})
+		WriteError(w, http.StatusGatewayTimeout, CodeTimeout, err.Error())
 	default:
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error(), Code: CodeInternal})
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
 }
 
-// handleDetect runs one frame through a worker's detector replica.
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
-		return
+// handleExec serves one JSON POST endpoint through an executor call:
+// /v1/detect (one frame through a worker's detector replica) and
+// /v1/evaluate (a full scenario evaluation, repeats served from the LRU
+// cache).
+func handleExec[Req, Resp any](s *Server, call func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !DecodePOST(w, r, &req) {
+			return
+		}
+		resp, err := call(r.Context(), req)
+		if err != nil {
+			s.writeExecError(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	var req DetectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
-		return
-	}
-	resp, err := s.exec.Detect(r.Context(), req)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleEvaluate runs a full scenario evaluation, serving repeats from the
-// LRU cache.
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
-		return
-	}
-	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
-		return
-	}
-	resp, err := s.exec.Evaluate(r.Context(), req)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func detailToResponse(d eval.Detail) EvalResponse {
@@ -306,7 +240,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.exec.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"draining":       s.exec.Draining(),
 		"workers":        s.exec.Workers(),

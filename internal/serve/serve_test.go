@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,7 +339,7 @@ func TestDetectEndpoint(t *testing.T) {
 // TestBadRequests exercises the validation surface.
 func TestBadRequests(t *testing.T) {
 	det := testDetector(t)
-	_, ts := startServer(t, det, Config{Workers: 1})
+	s, ts := startServer(t, det, Config{Workers: 1})
 
 	cases := []struct {
 		name string
@@ -357,9 +358,22 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
-	resp, _ := postJSON(t, ts.URL+"/v1/detect", DetectRequest{Image: []float64{1, 2}, Height: 4, Width: 4})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("short image: status %d, want 400", resp.StatusCode)
+	for name, req := range map[string]DetectRequest{
+		"short image": {Image: []float64{1, 2}, Height: 4, Width: 4},
+		// 3*4*(2^62+1) wraps to 12 in int arithmetic.
+		"overflowing shape": {Image: make([]float64, 12), Height: 4, Width: 1<<62 + 1},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/detect", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
+		}
+	}
+	var metrics strings.Builder
+	if err := s.Metrics().WriteText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "serve_job_panics_total 0\n") {
+		t.Errorf("bad requests reached a worker:\n%s", grepMetric(metrics.String(), "serve_job_panics_total"))
 	}
 	getResp, err := http.Get(ts.URL + "/v1/evaluate")
 	if err != nil {

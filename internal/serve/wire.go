@@ -24,6 +24,9 @@ func (r *DetectRequest) validate() error {
 	if r.Height <= 0 || r.Width <= 0 {
 		return fmt.Errorf("height and width must be positive, got %dx%d", r.Height, r.Width)
 	}
+	if r.Height > math.MaxInt/3/r.Width {
+		return fmt.Errorf("image shape 3*%d*%d overflows int", r.Height, r.Width)
+	}
 	if want := 3 * r.Height * r.Width; len(r.Image) != want {
 		return fmt.Errorf("image has %d values, want 3*%d*%d = %d", len(r.Image), r.Height, r.Width, want)
 	}
