@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -354,6 +355,14 @@ func (l *Loader) parseDir(dir string) (plain, test []*ast.File, err error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Check the files the go tool would build here: the host's GOOS and
+		// GOARCH, filename suffixes and //go:build lines (a per-GOARCH
+		// kernel and its portable stub declare the same names).
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

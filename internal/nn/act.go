@@ -116,7 +116,7 @@ func (t *Tanh) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	mustForwarded(t.lastOutput, "Tanh")
 	dIn := tensor.New(dOut.Shape()...)
 	for i, y := range t.lastOutput.Data() {
-		dIn.Data()[i] = dOut.Data()[i] * (1 - y*y)
+		dIn.Data()[i] = dOut.Data()[i] * (1 - float64(y*y))
 	}
 	return dIn
 }

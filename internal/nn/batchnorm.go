@@ -53,7 +53,9 @@ func (b *BatchNorm2D) SetTraining(training bool) { b.training = training }
 // whether the fused eval kernel may run).
 func (b *BatchNorm2D) Training() bool { return b.training }
 
-// Forward normalizes x per channel.
+// Forward normalizes x per channel. Products feeding an add are wrapped in
+// float64(...) here and in Backward so that no GOARCH fuses them into a
+// multiply-add: every platform computes the same bits.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := tensor.New(n, c, h, w)
@@ -87,12 +89,12 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 				base := (s*c + ch) * plane
 				for i := 0; i < plane; i++ {
 					d := x.Data()[base+i] - mean
-					sq += d * d
+					sq += float64(d * d)
 				}
 			}
 			variance = sq / cnt
-			b.RunningMean.Data()[ch] = (1-b.Momentum)*b.RunningMean.Data()[ch] + b.Momentum*mean
-			b.RunningVar.Data()[ch] = (1-b.Momentum)*b.RunningVar.Data()[ch] + b.Momentum*variance
+			b.RunningMean.Data()[ch] = float64((1-b.Momentum)*b.RunningMean.Data()[ch]) + float64(b.Momentum*mean)
+			b.RunningVar.Data()[ch] = float64((1-b.Momentum)*b.RunningVar.Data()[ch]) + float64(b.Momentum*variance)
 		} else {
 			mean = b.RunningMean.Data()[ch]
 			variance = b.RunningVar.Data()[ch]
@@ -111,11 +113,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 				for i, v := range xs {
 					xh := (v - mean) * invSD
 					xhs[i] = xh
-					os[i] = g*xh + bt
+					os[i] = float64(g*xh) + bt
 				}
 			} else {
 				for i, v := range xs {
-					os[i] = g*((v-mean)*invSD) + bt
+					os[i] = float64(g*((v-mean)*invSD)) + bt
 				}
 			}
 		}
@@ -149,7 +151,7 @@ func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 				xhs := b.lastXHat.Data()[base : base+plane]
 				for i, d := range ds {
 					sumD += d
-					sumDXhat += d * xhs[i]
+					sumDXhat += float64(d * xhs[i])
 				}
 			} else {
 				// Inference-mode forward skipped the x̂ cache; rebuild each
@@ -157,7 +159,7 @@ func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 				xs := b.lastInput.Data()[base : base+plane]
 				for i, d := range ds {
 					sumD += d
-					sumDXhat += d * ((xs[i] - mean) * invSD)
+					sumDXhat += float64(d * ((xs[i] - mean) * invSD))
 				}
 			}
 		}
@@ -175,7 +177,7 @@ func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 				xhs := b.lastXHat.Data()[base : base+plane]
 				dis := dIn.Data()[base : base+plane]
 				for i, d := range ds {
-					dis[i] = g * invSD / cnt * (cnt*d - sumD - xhs[i]*sumDXhat)
+					dis[i] = g * invSD / cnt * (float64(cnt*d) - sumD - float64(xhs[i]*sumDXhat))
 				}
 			}
 		} else {

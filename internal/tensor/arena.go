@@ -26,6 +26,9 @@ const (
 	// this package (nn.Linear reuses them for transpose scratch).
 	ScratchA
 	ScratchB
+	// ScratchPack holds b packed into 8-column panels for the AVX2 matmul
+	// kernel.
+	ScratchPack
 
 	numScratchBufs
 )
@@ -94,6 +97,27 @@ func (a *Arena) Acquire(n int) []*Scratch {
 func (a *Arena) Release(ss []*Scratch) {
 	a.mu.Lock()
 	a.free = append(a.free, ss...)
+	a.mu.Unlock()
+}
+
+// get returns one scratch for exclusive use without allocating, for a
+// kernel that needs scratch of its own inside a caller's dispatch. Return
+// it with put.
+func (a *Arena) get() *Scratch {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if k := len(a.free); k > 0 {
+		sc := a.free[k-1]
+		a.free = a.free[:k-1]
+		return sc
+	}
+	return &Scratch{}
+}
+
+// put returns a scratch taken with get.
+func (a *Arena) put(sc *Scratch) {
+	a.mu.Lock()
+	a.free = append(a.free, sc)
 	a.mu.Unlock()
 }
 

@@ -149,10 +149,11 @@ type convEpilogue func(res []float64, lo, hi, m int)
 // kernels: im2col, then the blocked matmul W[OC,K] @ cols[K,OH·OW] and the
 // optional epilogue on each output row. When the batch fills the cores
 // evenly every sample is one task. Otherwise each sample's output rows
-// (output channels) are cut into splitBlocks blocks, after a first pass that
-// lowers every sample's im2col with the work cut by input channel. Every
-// output element is still summed by one task in ascending k order, so the
-// result is bit-identical at any core count.
+// (output channels) are cut into splitBlocks blocks of whole 4-row kernel
+// tiles (splitTileTask), after a first pass that lowers every sample's
+// im2col with the work cut by input channel. Every output element is still
+// summed by one task in ascending k order, so the result is bit-identical
+// at any core count.
 func convForward(input, weight *Tensor, stride, pad int, epilogue convEpilogue) *Tensor {
 	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oc, kc, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
@@ -176,7 +177,7 @@ func convForward(input, weight *Tensor, stride, pad int, epilogue convEpilogue) 
 		}
 	}
 
-	blocks := splitBlocks(n, oc, k*m)
+	blocks := splitBlocks(n, (oc+3)/4, 4*k*m)
 	if blocks == 1 {
 		workers := Workers(n)
 		ss := AcquireScratch(workers)
@@ -204,7 +205,7 @@ func convForward(input, weight *Tensor, stride, pad int, epilogue convEpilogue) 
 			cols[s][c0*khw*m:c1*khw*m])
 	})
 	parallelFor(n*blocks, func(t int) {
-		s, lo, hi := splitTask(t, blocks, oc)
+		s, lo, hi := splitTileTask(t, blocks, oc)
 		finish(s, cols[s], lo, hi)
 	})
 	ReleaseScratch(ss)
@@ -230,6 +231,14 @@ func splitBlocks(n, rows, rowWork int) int {
 	}
 	blocks := min(p/a, rows, rows*rowWork/splitMinWork)
 	return max(blocks, 1)
+}
+
+// splitTileTask is splitTask over the rows' whole 4-row kernel tiles
+// (blocks ≤ (rows+3)/4): every block starts on a multiple of 4, so only a
+// sample's last block can end in the matmul kernel's scalar row remainder.
+func splitTileTask(t, blocks, rows int) (s, lo, hi int) {
+	s, q0, q1 := splitTask(t, blocks, (rows+3)/4)
+	return s, 4 * q0, min(4*q1, rows)
 }
 
 // splitTask maps task t of a split dispatch to its sample and its half-open

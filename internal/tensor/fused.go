@@ -37,7 +37,7 @@ func Conv2DBNLeaky(input, weight *Tensor, gamma, beta, mean, invSD []float64, st
 			g, bt, mn, isd := gamma[o], beta[o], mean[o], invSD[o]
 			seg := res[o*m : (o+1)*m]
 			for i, v := range seg {
-				y := g*((v-mn)*isd) + bt
+				y := float64(g*((v-mn)*isd)) + bt
 				if y > 0 {
 					seg[i] = y
 				} else {

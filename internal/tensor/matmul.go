@@ -57,7 +57,9 @@ func matMulInto(dst, a, b []float64, m, k, n int, accum bool) {
 		workers = m
 	}
 	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
+	// Whole 4-row kernel tiles per worker, so only the last chunk can end
+	// in the kernel's scalar row remainder.
+	chunk := ((m+workers-1)/workers + 3) &^ 3
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
@@ -115,15 +117,24 @@ const (
 // (n = OH*OW = 16) lower to exactly this shape.
 const narrowMaxN = 32
 
-// matMulRowsBlocked is the production kernel: tiled over k (mmKC) and n
-// (mmNC) with a 4-wide j unroll that keeps four accumulators in registers
-// across each k-panel, quartering the dst load/store traffic of the
-// reference ikj loop. Large products additionally repack each b tile into
-// column micro-panels so the inner loop streams b sequentially instead of
-// striding by n. For every output element the contributions arrive in
-// strictly ascending k order with the same zero-skip rule as the reference
-// kernel, so the result is bit-identical to matMulRowsRef (the parity tests
-// enforce this across random shapes).
+// matMulRowsBlocked is the production kernel behind every conv and MatMul.
+// On amd64 CPUs with AVX2 it runs matMulRowsAVX2, a 4×8 register-tile
+// assembly kernel (matmul_amd64.go). Everywhere else, and under the purego
+// build tag, it picks a portable scalar kernel by shape: the streaming,
+// narrow or packed kernels below, or the cache-blocked tile loop
+// (matMulRowsTiled) with a 4-wide j unroll.
+//
+// Parity contract, for every kernel: each output element has its products
+// rounded and then added in strictly ascending k order (never fused into a
+// multiply-add: the float64(...) conversions around products in this
+// package stop the compiler fusing them on arm64), and a zero a value skips its term exactly as the reference
+// kernel's av == 0 test does. The result therefore has the same bits as
+// matMulRowsRef for every element that is not NaN, and NaN exactly where
+// the reference has NaN. NaN payloads may differ: when both operands of an
+// add are NaN, which payload survives depends on the operand order, which
+// no kernel pins. The parity tests check this contract across random
+// shapes, and TestMatMulKernelMatchesRef and FuzzMatMulKernel with ±0, ±Inf,
+// NaN, subnormal and 1e308 inputs.
 func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 	if !accum {
 		for i := lo; i < hi; i++ {
@@ -132,6 +143,10 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 				drow[j] = 0
 			}
 		}
+	}
+	if useAVX2 {
+		matMulRowsAVX2(dst, a, b, lo, hi, k, n)
+		return
 	}
 	if hi-lo < packMinRows && k <= streamMaxK && n >= streamMinN {
 		matMulRowsStream(dst, a, b, lo, hi, k, n)
@@ -147,15 +162,22 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 			return
 		}
 	}
+	matMulRowsTiled(dst, a, b, lo, hi, k, n, 0, n)
+}
+
+// matMulRowsTiled adds a@b into columns [jlo,jhi) of rows [lo,hi) of dst:
+// [mmKC, mmNC] tiles walked with a 4-wide j unroll, each output element's
+// terms added in ascending k.
+func matMulRowsTiled(dst, a, b []float64, lo, hi, k, n, jlo, jhi int) {
 	for p0 := 0; p0 < k; p0 += mmKC {
 		p1 := p0 + mmKC
 		if p1 > k {
 			p1 = k
 		}
-		for j0 := 0; j0 < n; j0 += mmNC {
+		for j0 := jlo; j0 < jhi; j0 += mmNC {
 			j1 := j0 + mmNC
-			if j1 > n {
-				j1 = n
+			if j1 > jhi {
+				j1 = jhi
 			}
 			for i := lo; i < hi; i++ {
 				arow := a[i*k : (i+1)*k]
@@ -168,10 +190,10 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 						av := arow[p]
 						if av != 0 {
 							bp := b[off : off+4]
-							acc0 += av * bp[0]
-							acc1 += av * bp[1]
-							acc2 += av * bp[2]
-							acc3 += av * bp[3]
+							acc0 += float64(av * bp[0])
+							acc1 += float64(av * bp[1])
+							acc2 += float64(av * bp[2])
+							acc3 += float64(av * bp[3])
 						}
 						off += n
 					}
@@ -183,7 +205,7 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 					for p := p0; p < p1; p++ {
 						av := arow[p]
 						if av != 0 {
-							acc += av * b[off]
+							acc += float64(av * b[off])
 						}
 						off += n
 					}
@@ -252,16 +274,16 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 						b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 						panel = panel[4:]
 						if av0 != 0 {
-							acc00 += av0 * b0
-							acc01 += av0 * b1
-							acc02 += av0 * b2
-							acc03 += av0 * b3
+							acc00 += float64(av0 * b0)
+							acc01 += float64(av0 * b1)
+							acc02 += float64(av0 * b2)
+							acc03 += float64(av0 * b3)
 						}
 						if av1 := arow1[p]; av1 != 0 {
-							acc10 += av1 * b0
-							acc11 += av1 * b1
-							acc12 += av1 * b2
-							acc13 += av1 * b3
+							acc10 += float64(av1 * b0)
+							acc11 += float64(av1 * b1)
+							acc12 += float64(av1 * b2)
+							acc13 += float64(av1 * b3)
 						}
 					}
 					drow0[jj], drow0[jj+1], drow0[jj+2], drow0[jj+3] = acc00, acc01, acc02, acc03
@@ -273,10 +295,10 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 					for p, av0 := range arow0 {
 						bv := b[off]
 						if av0 != 0 {
-							acc0 += av0 * bv
+							acc0 += float64(av0 * bv)
 						}
 						if av1 := arow1[p]; av1 != 0 {
-							acc1 += av1 * bv
+							acc1 += float64(av1 * bv)
 						}
 						off += n
 					}
@@ -293,10 +315,10 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 					for _, av := range arow {
 						if av != 0 {
 							bp := panel[:4]
-							acc0 += av * bp[0]
-							acc1 += av * bp[1]
-							acc2 += av * bp[2]
-							acc3 += av * bp[3]
+							acc0 += float64(av * bp[0])
+							acc1 += float64(av * bp[1])
+							acc2 += float64(av * bp[2])
+							acc3 += float64(av * bp[3])
 						}
 						panel = panel[4:]
 					}
@@ -307,7 +329,7 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 					off := p0*n + jj
 					for _, av := range arow {
 						if av != 0 {
-							acc += av * b[off]
+							acc += float64(av * b[off])
 						}
 						off += n
 					}
@@ -356,14 +378,14 @@ func matMulRowsNarrow(dst, a, b []float64, lo, hi, k, n int) {
 				for _, av := range arow {
 					if av != 0 {
 						bp := panel[:8]
-						acc0 += av * bp[0]
-						acc1 += av * bp[1]
-						acc2 += av * bp[2]
-						acc3 += av * bp[3]
-						acc4 += av * bp[4]
-						acc5 += av * bp[5]
-						acc6 += av * bp[6]
-						acc7 += av * bp[7]
+						acc0 += float64(av * bp[0])
+						acc1 += float64(av * bp[1])
+						acc2 += float64(av * bp[2])
+						acc3 += float64(av * bp[3])
+						acc4 += float64(av * bp[4])
+						acc5 += float64(av * bp[5])
+						acc6 += float64(av * bp[6])
+						acc7 += float64(av * bp[7])
 					}
 					panel = panel[8:]
 				}
@@ -375,7 +397,7 @@ func matMulRowsNarrow(dst, a, b []float64, lo, hi, k, n int) {
 				off := p0*n + jj
 				for _, av := range arow {
 					if av != 0 {
-						acc += av * b[off]
+						acc += float64(av * b[off])
 					}
 					off += n
 				}
@@ -409,10 +431,10 @@ func matMulRowsStream(dst, a, b []float64, lo, hi, k, n int) {
 			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				d0, d1, d2, d3 := d0[:n], d1[:n], d2[:n], d3[:n]
 				for j, bv := range brow {
-					d0[j] += av0 * bv
-					d1[j] += av1 * bv
-					d2[j] += av2 * bv
-					d3[j] += av3 * bv
+					d0[j] += float64(av0 * bv)
+					d1[j] += float64(av1 * bv)
+					d2[j] += float64(av2 * bv)
+					d3[j] += float64(av3 * bv)
 				}
 				continue
 			}
@@ -469,16 +491,16 @@ func dotRowsNT(dst, a, b []float64, ma, nb, p int) {
 			for q, av0 := range a0 {
 				bv0, bv1, bv2, bv3 := b0[q], b1[q], b2[q], b3[q]
 				if av0 != 0 {
-					acc00 += av0 * bv0
-					acc01 += av0 * bv1
-					acc02 += av0 * bv2
-					acc03 += av0 * bv3
+					acc00 += float64(av0 * bv0)
+					acc01 += float64(av0 * bv1)
+					acc02 += float64(av0 * bv2)
+					acc03 += float64(av0 * bv3)
 				}
 				if av1 := a1[q]; av1 != 0 {
-					acc10 += av1 * bv0
-					acc11 += av1 * bv1
-					acc12 += av1 * bv2
-					acc13 += av1 * bv3
+					acc10 += float64(av1 * bv0)
+					acc11 += float64(av1 * bv1)
+					acc12 += float64(av1 * bv2)
+					acc13 += float64(av1 * bv3)
 				}
 			}
 			d0[j], d0[j+1], d0[j+2], d0[j+3] = acc00, acc01, acc02, acc03
@@ -490,10 +512,10 @@ func dotRowsNT(dst, a, b []float64, ma, nb, p int) {
 			for q, av0 := range a0 {
 				bv := brow[q]
 				if av0 != 0 {
-					s0 += av0 * bv
+					s0 += float64(av0 * bv)
 				}
 				if av1 := a1[q]; av1 != 0 {
-					s1 += av1 * bv
+					s1 += float64(av1 * bv)
 				}
 			}
 			d0[j], d1[j] = s0, s1
@@ -507,7 +529,7 @@ func dotRowsNT(dst, a, b []float64, ma, nb, p int) {
 			var s float64
 			for q, av := range arow {
 				if av != 0 {
-					s += av * brow[q]
+					s += float64(av * brow[q])
 				}
 			}
 			drow[j] = s
@@ -519,7 +541,7 @@ func dotRowsNT(dst, a, b []float64, ma, nb, p int) {
 func streamAxpy(d, brow []float64, av float64) {
 	d = d[:len(brow)]
 	for j, bv := range brow {
-		d[j] += av * bv
+		d[j] += float64(av * bv)
 	}
 }
 
@@ -537,7 +559,7 @@ func MatVec(a, x *Tensor) *Tensor {
 		row := a.data[i*k : (i+1)*k]
 		s := 0.0
 		for j, v := range row {
-			s += v * x.data[j]
+			s += float64(v * x.data[j])
 		}
 		out.data[i] = s
 	}

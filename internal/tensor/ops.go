@@ -87,7 +87,7 @@ func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
 func (t *Tensor) Axpy(a float64, u *Tensor) *Tensor {
 	sameLen(t, u, "Axpy")
 	for i, v := range u.data {
-		t.data[i] += a * v
+		t.data[i] += float64(a * v)
 	}
 	return t
 }
@@ -137,7 +137,7 @@ func Dot(t, u *Tensor) float64 {
 	sameLen(t, u, "Dot")
 	s := 0.0
 	for i := range t.data {
-		s += t.data[i] * u.data[i]
+		s += float64(t.data[i] * u.data[i])
 	}
 	return s
 }

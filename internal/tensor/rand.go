@@ -5,7 +5,7 @@ import "math/rand"
 // RandN fills t with samples from N(mean, std²) drawn from rng and returns t.
 func (t *Tensor) RandN(rng *rand.Rand, mean, std float64) *Tensor {
 	for i := range t.data {
-		t.data[i] = rng.NormFloat64()*std + mean
+		t.data[i] = float64(rng.NormFloat64()*std) + mean
 	}
 	return t
 }
@@ -14,7 +14,7 @@ func (t *Tensor) RandN(rng *rand.Rand, mean, std float64) *Tensor {
 func (t *Tensor) RandU(rng *rand.Rand, lo, hi float64) *Tensor {
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*span
+		t.data[i] = lo + float64(rng.Float64()*span)
 	}
 	return t
 }

@@ -7,7 +7,9 @@ import (
 
 // This file preserves the pre-optimization kernels verbatim. They are the
 // reference oracles: the parity tests assert the blocked/arena kernels
-// reproduce them bit for bit, and cmd/benchperf measures them in the same
+// reproduce them bit for bit on every non-NaN element, with NaN exactly
+// where the reference has NaN (NaN payloads are not compared; see
+// matMulRowsBlocked), and cmd/benchperf measures them in the same
 // process to derive machine-independent speedup ratios for
 // BENCH_tensor.json. They allocate per call and serialize gradient
 // reduction behind a mutex — never use them on a hot path.
@@ -48,7 +50,7 @@ func matMulRowsRef(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 			}
 			brow := b[p*n : (p+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}

@@ -90,6 +90,26 @@ func TestSplitTaskCoversRows(t *testing.T) {
 	}
 }
 
+// TestSplitTileTaskAligned: the forward's row blocks cover the rows in
+// order, are non-empty, and start on 4-row kernel tiles.
+func TestSplitTileTaskAligned(t *testing.T) {
+	for rows := 1; rows <= 40; rows++ {
+		for blocks := 1; blocks <= (rows+3)/4; blocks++ {
+			next := 0
+			for j := 0; j < blocks; j++ {
+				s, lo, hi := splitTileTask(j, blocks, rows)
+				if s != 0 || lo != next || hi <= lo || lo%4 != 0 {
+					t.Fatalf("rows %d blocks %d task %d: sample %d range [%d,%d)", rows, blocks, j, s, lo, hi)
+				}
+				next = hi
+			}
+			if next != rows {
+				t.Fatalf("rows %d blocks %d: last block ends at %d", rows, blocks, next)
+			}
+		}
+	}
+}
+
 func TestSplitConv2DParityBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	forEachSplitConfig(t, func(t *testing.T, cc convCase) {

@@ -252,7 +252,7 @@ func (t *Tensor) ArgMax() int {
 func (t *Tensor) L2() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -51,6 +51,33 @@ echo "== split-kernel parity + frozen parameters at -cpu 1,2,4"
 go test -count 1 -cpu 1,2,4 -run 'Split|Parity|Frozen|Freeze' ./internal/tensor ./internal/nn ./internal/yolo
 go test -count 1 -cpu 1,2,4 -run 'TrainLeavesVictimUntouched' ./internal/attack
 
+# Portable-kernel gate: on an AVX2 machine the steps above run the assembly
+# matmul kernel. The purego build takes the scalar kernels every other
+# GOARCH runs, so they stay under the same parity tests and core counts.
+echo "== portable kernels (-tags purego) at -cpu 1,2,4"
+go test -count 1 -tags purego -cpu 1,2,4 -run 'Split|Parity|Frozen|Freeze|Kernel' ./internal/tensor ./internal/nn ./internal/yolo
+
+echo "== GOARCH=arm64 go build ./..."
+GOARCH=arm64 go build ./...
+
+# No-fusion gate: DESIGN.md §7 forbids fused multiply-adds, and arm64's
+# compiler fuses `acc += a*b` unless the product is wrapped in float64().
+# Any fused instruction in the arm64 build of the numeric packages means a
+# node there would compute different bits than an amd64 node.
+echo "== no fused multiply-add in arm64 internal/tensor, internal/nn"
+mkdir -p out/arm64
+fused=""
+for pkg in tensor nn; do
+    GOARCH=arm64 go build -o "out/arm64/$pkg.a" "./internal/$pkg"
+    fused="$fused$(go tool objdump "out/arm64/$pkg.a" |
+        awk '/^TEXT /{sym=$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/{print sym ": " $0}')"
+done
+if [ -n "$fused" ]; then
+    echo "check: fused multiply-add in the arm64 build; wrap the product in float64(...):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
 # must complete an evaluate round-trip and drain cleanly, under the race
 # detector. Fast and focused, so fabric wiring regressions fail here with
